@@ -188,23 +188,24 @@ def _check_lp_size(grid, variable_cap: int) -> None:
         )
 
 
-def lp_feasible(
-    table: BenchmarkTable,
-    lam: Fraction,
-    variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
-) -> bool:
-    """Exact feasibility of the revenue linear system at ratio ``lam``.
+def _revenue_system(
+    table: BenchmarkTable, lam: Fraction | None, variable_cap: int
+) -> tuple[list[list[Fraction]], list[Fraction], int]:
+    """The revenue system ``A_ub v <= b_ub`` and its number of variables.
 
     Variables are the per-bidder expected revenues ``x_i(b_-i, t)``, required
     to cover ``f`` at rate ``lam``, to keep weighted mass at most one along
     each direction, and to be non-negative and monotone in the bidder's own
-    level.
+    level.  With ``lam = None`` the ratio becomes variable 0 and the others are
+    ``y_i = lam * x_i``: the ``y_i`` cover ``f`` outright while their weighted
+    mass stays below ``lam``.
     """
-    lam = Fraction(lam)
     grid = table.grid
     _check_lp_size(grid, variable_cap)
     index = _variable_index(grid)
-    nvars = len(index)
+    offset = 1 if lam is None else 0
+    cover = Fraction(1) if lam is None else lam
+    nvars = len(index) + offset
     A_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
 
@@ -215,22 +216,34 @@ def lp_feasible(
         row = new_row()
         for i in range(grid.n):
             others = p[:i] + p[i + 1 :]
-            row[index[(i, others, p[i])]] -= lam
+            row[offset + index[(i, others, p[i])]] -= cover
         A_ub.append(row)
         b_ub.append(-table[p])
     for i in range(grid.n):
         for others in grid.others_points():
             row = new_row()
+            if lam is None:
+                row[0] = Fraction(-1)
             for t in range(grid.num_levels):
-                row[index[(i, others, t)]] = weight_level(grid, t)
+                row[offset + index[(i, others, t)]] = weight_level(grid, t)
             A_ub.append(row)
-            b_ub.append(Fraction(1))
+            b_ub.append(Fraction(0) if lam is None else Fraction(1))
             for t in range(grid.top):
                 row = new_row()
-                row[index[(i, others, t)]] = Fraction(1)
-                row[index[(i, others, t + 1)]] = Fraction(-1)
+                row[offset + index[(i, others, t)]] = Fraction(1)
+                row[offset + index[(i, others, t + 1)]] = Fraction(-1)
                 A_ub.append(row)
                 b_ub.append(Fraction(0))
+    return A_ub, b_ub, nvars
+
+
+def lp_feasible(
+    table: BenchmarkTable,
+    lam: Fraction,
+    variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
+) -> bool:
+    """Exact feasibility of the revenue linear system at ratio ``lam``."""
+    A_ub, b_ub, nvars = _revenue_system(table, Fraction(lam), variable_cap)
     return lp.feasible(A_ub, b_ub, num_vars=nvars)
 
 
@@ -241,42 +254,9 @@ def optimal_ratio_lp(
     """Optimal ratio by exact LP.
 
     Substituting ``y_i = lam * x_i`` into the revenue system makes the ratio a
-    genuine linear objective: minimize ``lam`` subject to the ``y_i`` covering
-    ``f`` outright while their weighted mass stays below ``lam``.
+    genuine linear objective: minimize ``lam``, which is variable 0.
     """
-    grid = table.grid
-    _check_lp_size(grid, variable_cap)
-    index = _variable_index(grid)
-    nvars = len(index) + 1  # lam is variable 0, y variables follow
-
-    A_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-
-    def new_row() -> list[Fraction]:
-        return [Fraction(0)] * nvars
-
-    for p in grid.points():
-        row = new_row()
-        for i in range(grid.n):
-            others = p[:i] + p[i + 1 :]
-            row[1 + index[(i, others, p[i])]] -= 1
-        A_ub.append(row)
-        b_ub.append(-table[p])
-    for i in range(grid.n):
-        for others in grid.others_points():
-            row = new_row()
-            row[0] = Fraction(-1)
-            for t in range(grid.num_levels):
-                row[1 + index[(i, others, t)]] = weight_level(grid, t)
-            A_ub.append(row)
-            b_ub.append(Fraction(0))
-            for t in range(grid.top):
-                row = new_row()
-                row[1 + index[(i, others, t)]] = Fraction(1)
-                row[1 + index[(i, others, t + 1)]] = Fraction(-1)
-                A_ub.append(row)
-                b_ub.append(Fraction(0))
-
+    A_ub, b_ub, nvars = _revenue_system(table, None, variable_cap)
     cost = [Fraction(0)] * nvars
     cost[0] = Fraction(1)
     result = lp.solve_lp(cost, A_ub, b_ub)

@@ -15,6 +15,7 @@ point is allowed in the core.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,6 +62,18 @@ class BidGrid:
             raise ValueError(f"level index {t} outside [0, {self.top}]")
         return (1 + self.delta) ** t
 
+    @functools.cached_property
+    def level_weights(self) -> tuple[Fraction, ...]:
+        """Equal-revenue mass of every level, computed once per grid.
+
+        ``delta/(1+delta)^(t+1)`` below the top; the top level takes the whole
+        remaining tail ``(1+delta)^(-N)`` so the masses sum to 1.
+        """
+        below = tuple(
+            self.delta / (1 + self.delta) ** (t + 1) for t in range(self.top)
+        )
+        return below + (Fraction(1) / (1 + self.delta) ** self.top,)
+
     def values(self) -> tuple[Fraction, ...]:
         return tuple(self.level_value(t) for t in range(self.num_levels))
 
@@ -80,16 +93,10 @@ class BidGrid:
 
 
 def weight_level(grid: BidGrid, t: int) -> Fraction:
-    """Equal-revenue mass of ladder level ``t``.
-
-    ``delta/(1+delta)^(t+1)`` below the top; the top level takes the whole
-    remaining tail ``(1+delta)^(-N)`` so the masses sum to 1.
-    """
+    """Equal-revenue mass of ladder level ``t`` (see ``BidGrid.level_weights``)."""
     if not 0 <= t <= grid.top:
         raise ValueError(f"level index {t} outside [0, {grid.top}]")
-    if t == grid.top:
-        return Fraction(1) / (1 + grid.delta) ** grid.top
-    return grid.delta / (1 + grid.delta) ** (t + 1)
+    return grid.level_weights[t]
 
 
 def weight_tail(grid: BidGrid, k: int) -> Fraction:

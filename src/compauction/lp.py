@@ -1,10 +1,19 @@
 """Exact linear programming over the rationals.
 
 A small dense two-phase simplex for the feasibility and ratio-minimization
-systems used as the independent oracle against upset enumeration.  All
-arithmetic is :class:`fractions.Fraction`; pivots follow Bland's rule, which
-guarantees termination without any tolerance knobs.  Problems here are tiny
-(tens of variables), so a dense tableau is the right tool.
+systems used as the independent oracle against upset enumeration.  Pivots
+follow Bland's rule, which guarantees termination without any tolerance
+knobs.  Problems here are tiny (tens of variables), so a dense tableau is the
+right tool.
+
+The tableau is fraction-free.  Each row is a primitive integer vector: a
+positive multiple of the rational row it stands for.  A pivot on ``a_rc``
+replaces every other row ``i`` with ``a_rc*row_i - a_ic*row_r`` divided by its
+gcd, so no entry ever carries a denominator.  Positive scaling keeps every
+sign and every ratio ``rhs/a``, so the pivot sequence is exactly that of the
+rational tableau.  The objective row is kept as integers over one positive
+denominator, and basic values become :class:`fractions.Fraction` only when the
+solution is read off.
 
 Conventions: minimize ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq`` and ``x >= 0``.
@@ -12,6 +21,7 @@ Conventions: minimize ``c . x`` subject to ``A_ub x <= b_ub``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,48 +41,111 @@ class LPResult:
     status: LPStatus
     x: list[Fraction] | None = None
     objective: Fraction | None = None
+    pivots: int = 0  # simplex pivots in both phases and the drive-out step
 
 
-def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], row: int, col: int,
-           basis: list[int]) -> None:
-    prow = tableau[row]
-    inv = Fraction(1) / prow[col]
-    if inv != 1:
-        tableau[row] = prow = [v * inv for v in prow]
-    for r, other in enumerate(tableau):
-        if r == row:
-            continue
-        factor = other[col]
-        if factor:
-            tableau[r] = [a - factor * b for a, b in zip(other, prow)]
-    factor = obj[col]
-    if factor:
-        obj[:] = [a - factor * b for a, b in zip(obj, prow)]
-    basis[row] = col
+def _primitive(values: list[int]) -> list[int]:
+    """Divide an integer vector by the gcd of its entries."""
+    g = math.gcd(*values)
+    return values if g <= 1 else [v // g for v in values]
 
 
-def _run_simplex(tableau: list[list[Fraction]], obj: list[Fraction],
-                 basis: list[int]) -> LPStatus:
-    """Minimize until all reduced costs are non-negative (Bland's rule)."""
-    ncols = len(obj) - 1
-    for _ in range(_PIVOT_CAP):
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
-            return LPStatus.OPTIMAL
-        row = None
-        best: Fraction | None = None
-        for r, line in enumerate(tableau):
-            if line[col] > 0:
-                ratio = line[-1] / line[col]
-                if best is None or ratio < best or (
-                    ratio == best and row is not None and basis[r] < basis[row]
-                ):
-                    best = ratio
-                    row = r
-        if row is None:
-            return LPStatus.UNBOUNDED
-        _pivot(tableau, obj, row, col, basis)
-    raise RuntimeError("simplex pivot cap exceeded")
+def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``k`` and the least positive ``d`` with ``values == k / d``."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+class _Tableau:
+    """Integer rows, a basis, and an objective row ``obj / den``."""
+
+    def __init__(self, rows: list[list[Fraction]], basis: list[int]) -> None:
+        self.rows = [_primitive(_integers(line)[0]) for line in rows]
+        self.basis = basis
+        self.obj: list[int] = []
+        self.den = 1
+        self.pivots = 0
+
+    def price(self, cost: Sequence[Fraction]) -> None:
+        """Set the objective row to ``cost`` in reduced costs over the basis."""
+        self.obj, self.den = _integers(cost)
+        for r, b in enumerate(self.basis):
+            self._eliminate(r, b)
+
+    def _eliminate(self, r: int, c: int) -> None:
+        """Subtract row ``r`` from the objective so that its entry ``c`` is 0."""
+        a = self.obj[c]
+        if a:
+            p = self.rows[r][c]
+            obj = [p * x - a * y for x, y in zip(self.obj, self.rows[r])]
+            den = self.den * p
+            g = math.gcd(den, *obj)
+            self.obj = [v // g for v in obj]
+            self.den = den // g
+
+    def pivot(self, r: int, c: int) -> None:
+        """Make column ``c`` basic in row ``r``; its entry there must be positive."""
+        prow = self.rows[r]
+        p = prow[c]
+        for i, line in enumerate(self.rows):
+            a = line[c]
+            if a and i != r:
+                self.rows[i] = _primitive([p * x - a * y for x, y in zip(line, prow)])
+        self._eliminate(r, c)
+        self.basis[r] = c
+        self.pivots += 1
+
+    def run(self) -> LPStatus:
+        """Minimize until all reduced costs are non-negative (Bland's rule)."""
+        ncols = len(self.obj) - 1
+        for _ in range(_PIVOT_CAP):
+            col = next((j for j in range(ncols) if self.obj[j] < 0), None)
+            if col is None:
+                return LPStatus.OPTIMAL
+            row = None
+            for r, line in enumerate(self.rows):
+                a = line[col]
+                if a > 0:
+                    if row is None:
+                        row, best_rhs, best_a = r, line[-1], a
+                        continue
+                    # rhs/a against best_rhs/best_a, both denominators positive
+                    diff = line[-1] * best_a - best_rhs * a
+                    if diff < 0 or (diff == 0 and self.basis[r] < self.basis[row]):
+                        row, best_rhs, best_a = r, line[-1], a
+            if row is None:
+                return LPStatus.UNBOUNDED
+            self.pivot(row, col)
+        raise RuntimeError("simplex pivot cap exceeded")
+
+    def drive_out(self, ncols: int) -> None:
+        """Pivot leftover artificials (columns ``ncols`` on) out of the basis.
+
+        A row with no real nonzero is redundant and is dropped.  An artificial
+        still basic after phase one has value 0, so its row has rhs 0 and may
+        be negated to make the pivot positive.  The artificial columns are then
+        dropped.
+        """
+        for r in range(len(self.rows) - 1, -1, -1):
+            if self.basis[r] >= ncols:
+                line = self.rows[r]
+                col = next((j for j in range(ncols) if line[j] != 0), None)
+                if col is None:
+                    del self.rows[r]
+                    del self.basis[r]
+                    continue
+                if line[col] < 0:
+                    self.rows[r] = [-v for v in line]
+                self.pivot(r, col)
+        self.rows = [_primitive(line[:ncols] + line[-1:]) for line in self.rows]
+
+    def solution(self, nx: int) -> tuple[list[Fraction], Fraction]:
+        """The basic solution's first ``nx`` values and its objective value."""
+        x = [Fraction(0)] * nx
+        for line, b in zip(self.rows, self.basis):
+            if b < nx:
+                x[b] = Fraction(line[-1], line[b])
+        return x, -Fraction(self.obj[-1], self.den)
 
 
 def solve_lp(
@@ -91,7 +164,7 @@ def solve_lp(
 
     # Columns: x vars, one slack per <= row, artificials appended as needed.
     ncols = nx + n_ub
-    tableau: list[list[Fraction]] = []
+    lines: list[list[Fraction]] = []
     basis: list[int] = []
     art_rows: list[int] = []
     for i, row in enumerate(rows + neq):
@@ -109,53 +182,29 @@ def solve_lp(
         else:
             basis.append(-1)  # placeholder, artificial assigned below
             art_rows.append(i)
-        tableau.append(line + [rhs])
+        lines.append(line + [rhs])
 
     n_art = len(art_rows)
     for k, i in enumerate(art_rows):
-        for r, line in enumerate(tableau):
+        for r, line in enumerate(lines):
             line.insert(ncols + k, Fraction(1 if r == i else 0))
         basis[i] = ncols + k
-    total = ncols + n_art
 
     # Phase 1: minimize the sum of artificials.
-    obj = [Fraction(0)] * (total + 1)
-    for k in range(n_art):
-        obj[ncols + k] = Fraction(1)
-    for i in art_rows:
-        obj = [a - b for a, b in zip(obj, tableau[i])]
-    if m and _run_simplex(tableau, obj, basis) != LPStatus.OPTIMAL:
+    tab = _Tableau(lines, basis)
+    tab.price([Fraction(0)] * ncols + [Fraction(1)] * n_art + [Fraction(0)])
+    if m and tab.run() != LPStatus.OPTIMAL:
         raise RuntimeError("phase one cannot be unbounded")
-    if -obj[-1] > 0:
-        return LPResult(LPStatus.INFEASIBLE)
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    for r in range(m - 1, -1, -1):
-        if basis[r] >= ncols:
-            col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
-            if col is None:
-                del tableau[r]
-                del basis[r]
-            else:
-                _pivot(tableau, obj, r, col, basis)
-    for line in tableau:
-        del line[ncols:total]
+    if tab.obj[-1] < 0:
+        return LPResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
+    tab.drive_out(ncols)
 
     # Phase 2: the real objective, expressed in reduced costs over the basis.
-    obj = list(map(Fraction, c)) + [Fraction(0)] * (ncols - nx) + [Fraction(0)]
-    for r, b in enumerate(basis):
-        if obj[b]:
-            factor = obj[b]
-            obj = [a - factor * v for a, v in zip(obj, tableau[r])]
-    status = _run_simplex(tableau, obj, basis)
-    if status == LPStatus.UNBOUNDED:
-        return LPResult(LPStatus.UNBOUNDED)
-
-    x = [Fraction(0)] * nx
-    for r, b in enumerate(basis):
-        if b < nx:
-            x[b] = tableau[r][-1]
-    return LPResult(LPStatus.OPTIMAL, x=x, objective=-obj[-1])
+    tab.price(list(map(Fraction, c)) + [Fraction(0)] * (ncols - nx + 1))
+    if tab.run() == LPStatus.UNBOUNDED:
+        return LPResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
+    x, objective = tab.solution(nx)
+    return LPResult(LPStatus.OPTIMAL, x=x, objective=objective, pivots=tab.pivots)
 
 
 def feasible(

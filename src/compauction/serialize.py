@@ -9,6 +9,8 @@ two-space indentation.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -32,12 +34,32 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def parse_fraction(text: Any) -> Fraction:
+    """Parse a rational, rejecting one that could not be printed back.
+
+    Python refuses to print integers longer than
+    ``sys.get_int_max_str_digits()`` digits, so a numerator or denominator
+    past that bound is rejected here, from its bit length.  A decimal exponent
+    past it is rejected before the power of ten is ever built.
+    """
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise FormatError(f"expected a rational string, got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(text, str):
+        exponent = text.lower().partition("e")[2]
+        try:
+            too_long = bool(limit) and abs(int(exponent or 0)) > limit
+        except ValueError:
+            too_long = False  # not an integer exponent: Fraction reports it below
+        if too_long:
+            raise FormatError(f"rational exponent above {limit} in {text[:40]!r}")
     try:
-        return Fraction(str(text))
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}: {exc}") from None
+        raise FormatError(f"bad rational {str(text)[:40]!r}: {exc}") from None
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if limit and math.floor(bits * math.log10(2)) + 1 > limit:
+        raise FormatError(f"rational has more than {limit} digits")
+    return value
 
 
 def _expect(doc: Any, key: str, kind: type) -> Any:
@@ -201,6 +223,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an overlong number, deep nesting
+        raise FormatError(f"invalid JSON: {exc}") from None
 
 
 def load_file(path: str) -> Any:

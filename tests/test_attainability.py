@@ -102,6 +102,14 @@ def test_optimal_ratio_lp_examples():
     assert optimal_ratio_lp(zero_table(G22)) == 0
 
 
+def test_optimal_ratio_lp_past_the_enumeration_cap():
+    # f2 on delta = 1 grids of 25, 16 and 27 points
+    for levels, n, ratio in ((5, 2, Fraction(47, 32)), (2, 4, Fraction(19, 16)),
+                             (3, 3, Fraction(23, 16))):
+        table = builtin_table(BidGrid(Fraction(1), levels, n), "f2")
+        assert optimal_ratio_lp(table) == ratio
+
+
 def test_cross_oracle_agreement(rng):
     for grid in small_grids():
         for _ in range(12):

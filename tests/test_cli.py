@@ -39,6 +39,21 @@ def test_check_attainable_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_overlong_rationals_are_bad_input(capsys, tmp_path):
+    # each would print with more digits than Python allows, or take a huge
+    # power of ten to build; both are input errors, never "violated"
+    for ratio in ("1e999999", "1e4300", "7" * 2200 + "e2200", "1e-999999999"):
+        code, out, err = run(capsys, "check", F2_FILE, ratio)
+        assert code == 2 and out == ""
+        assert "error" in err and "Traceback" not in err
+    huge = tmp_path / "huge.json"
+    for text in ('{"grid": {"delta": "1", "levels": 1%s, "n": 2}}' % ("0" * 5000),
+                 "[" * 100000):  # a number past the digit limit; deep nesting
+        huge.write_text(text)
+        code, _, err = run(capsys, "check", str(huge), "1")
+        assert code == 2 and "Traceback" not in err
+
+
 def test_check_rejects_negative_ratio(capsys):
     code, _, err = run(capsys, "check", TWO_TIER, "-1")
     assert code == 2 and "non-negative" in err

@@ -4,6 +4,9 @@ import itertools
 import random
 from fractions import Fraction as F
 
+from compauction.attainability import DEFAULT_LP_VARIABLE_CAP, _revenue_system
+from compauction.benchmarks import builtin_table
+from compauction.grid import BidGrid
 from compauction.lp import LPStatus, feasible, solve_lp
 
 
@@ -113,32 +116,32 @@ def _solve_square(rows, rhs):
     return [m[r][-1] for r in range(n)]
 
 
+def _vertices(rows, rhs, eq_rows, eq_rhs, n):
+    """Every vertex of {rows x <= rhs, eq_rows x = eq_rhs, x >= 0}."""
+    nonneg = [[F(-1) if j == i else F(0) for j in range(n)] for i in range(n)]
+    candidates = list(rows) + nonneg + list(eq_rows)
+    bounds = list(rhs) + [F(0)] * n + list(eq_rhs)
+    k = len(rows) + n  # the first k candidates are inequalities
+    found = set()
+    for chosen in itertools.combinations(range(len(candidates)), n):
+        point = _solve_square([candidates[i] for i in chosen],
+                              [bounds[i] for i in chosen])
+        if point is None:
+            continue
+        dot = [sum(a * v for a, v in zip(r, point)) for r in candidates]
+        if all(d <= b for d, b in zip(dot[:k], bounds)) and dot[k:] == bounds[k:]:
+            found.add(tuple(point))
+    return found
+
+
 def _vertex_optimum(c, A, b):
     """Oracle: best objective over vertices of {Ax <= b, x >= 0}.
 
     Sound for bounded feasible regions, where some vertex is optimal and a
     nonempty region (being pointed) has at least one vertex.
     """
-    n = len(c)
-    rows = [list(r) for r in A]
-    rhs = list(b)
-    for i in range(n):  # x_i >= 0 as -x_i <= 0
-        rows.append([F(-1) if j == i else F(0) for j in range(n)])
-        rhs.append(F(0))
-    best = None
-    for chosen in itertools.combinations(range(len(rows)), n):
-        point = _solve_square([rows[i] for i in chosen], [rhs[i] for i in chosen])
-        if point is None or any(v < 0 for v in point):
-            continue
-        if any(
-            sum(a * v for a, v in zip(row, point)) > bound
-            for row, bound in zip(rows, rhs)
-        ):
-            continue
-        value = sum(cv * v for cv, v in zip(c, point))
-        if best is None or value < best:
-            best = value
-    return best
+    points = _vertices(A, b, [], [], len(c))
+    return min((sum(cv * v for cv, v in zip(c, p)) for p in points), default=None)
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -164,3 +167,66 @@ def test_random_lps_match_vertex_enumeration():
             assert res.objective == oracle
             agreements["optimal"] += 1
     assert agreements["optimal"] > 50 and agreements["infeasible"] > 5
+
+
+def test_ratio_lp_pivot_counts_are_pinned():
+    # Bland's rule fixes the pivot sequence; a change in these counts means a
+    # change in the rule or in the system, not in the arithmetic
+    for levels, n, ratio, pivots in ((4, 2, F(23, 16), 93), (2, 4, F(19, 16), 112),
+                                     (5, 2, F(47, 32), 164)):
+        table = builtin_table(BidGrid(F(1), levels, n), "f2")
+        A, b, nvars = _revenue_system(table, None, DEFAULT_LP_VARIABLE_CAP)
+        res = solve_lp([F(1)] + [F(0)] * (nvars - 1), A_ub=A, b_ub=b)
+        assert (res.status, res.objective, res.pivots) == (LPStatus.OPTIMAL, ratio, pivots)
+
+
+def _brute_force(c, A_ub, b_ub, A_eq, b_eq):
+    """Status and optimum from vertex and extreme-ray enumeration.
+
+    The region lies in x >= 0, so it is pointed: it is empty exactly when it
+    has no vertex, and it is unbounded in the direction of c exactly when
+    some extreme ray d of its recession cone has c.d < 0.  Those rays are the
+    vertices of the cone cut by sum(d) = 1.
+    """
+    n = len(c)
+    points = _vertices(A_ub, b_ub, A_eq, b_eq, n)
+    if not points:
+        return LPStatus.INFEASIBLE, None
+    rays = _vertices(A_ub, [F(0)] * len(A_ub), list(A_eq) + [[F(1)] * n],
+                     [F(0)] * len(A_eq) + [F(1)], n)
+    if any(sum(a * v for a, v in zip(c, d)) < 0 for d in rays):
+        return LPStatus.UNBOUNDED, None
+    return LPStatus.OPTIMAL, min(sum(a * v for a, v in zip(c, p)) for p in points)
+
+
+def test_random_lps_with_equalities_match_brute_force():
+    rng = random.Random(20261017)
+
+    def coef():
+        return F(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+
+    seen = {status: 0 for status in LPStatus}
+    for _ in range(250):
+        n = rng.randrange(1, 5)
+        m_eq = rng.randrange(0, 3)
+        m_ub = rng.randrange(0, 6 - m_eq)
+        c = [coef() for _ in range(n)]
+        A_ub = [[coef() for _ in range(n)] for _ in range(m_ub)]
+        b_ub = [F(rng.randrange(-3, 8)) for _ in range(m_ub)]
+        A_eq = [[coef() for _ in range(n)] for _ in range(m_eq)]
+        b_eq = [F(rng.randrange(-2, 5)) for _ in range(m_eq)]
+        if m_eq == 2 and rng.random() < 0.3:  # a redundant equality row
+            A_eq[1], b_eq[1] = [2 * v for v in A_eq[0]], 2 * b_eq[0]
+        res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+        status, best = _brute_force(c, A_ub, b_ub, A_eq, b_eq)
+        assert res.status is status
+        seen[status] += 1
+        if status is LPStatus.OPTIMAL:
+            assert res.objective == best
+            assert len(res.x) == n and all(v >= 0 for v in res.x)
+            assert sum(a * v for a, v in zip(c, res.x)) == res.objective
+            for row, bound in zip(A_ub, b_ub):
+                assert sum(a * v for a, v in zip(row, res.x)) <= bound
+            for row, bound in zip(A_eq, b_eq):
+                assert sum(a * v for a, v in zip(row, res.x)) == bound
+    assert min(seen.values()) >= 20, seen
