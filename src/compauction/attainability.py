@@ -7,34 +7,34 @@ bid vectors,
     sum_{b in S} w(b) f(b)  <=  lam * sum_i sum_{b_-i in S|i} w(b_-i),
 
 where ``w`` is the equal-revenue product weight and ``S|i`` is the projection
-of ``S`` along coordinate ``i``.  On enumeration-scale grids the condition is
-checked exhaustively, which also yields the optimal ratio as a maximum of
-exact rational ratios together with a witness set.  An independent oracle
-solves the underlying revenue linear system with an exact rational simplex;
-the two routes must agree and are cross-checked in the test suite.
+of ``S`` along coordinate ``i``.  Both sides are sums of per-point terms (see
+``point_terms``), so the worst upset at ``lam`` is a maximum-weight closure,
+found by one s-t minimum cut (Picard 1976), and the optimal ratio is a
+Dinkelbach iteration over such cuts.  Upset enumeration and an exact simplex
+on the revenue linear system stay as independent oracles for the tests.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from compauction import lp
-from compauction.benchmarks import BenchmarkTable, check_symmetric
+from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
-    DEFAULT_POINT_CAP,
-    DomainTooLargeError,
+    BidGrid,
     Point,
     Upset,
-    enumerate_symmetric_upsets,
-    enumerate_upsets,
-    project,
+    check_size,
+    covers,
     weight_level,
     weight_others,
     weight_vector,
 )
 
+CUT_POINT_CAP = 1024
 DEFAULT_LP_VARIABLE_CAP = 512
 
 
@@ -45,16 +45,38 @@ class Verdict:
     attainable: bool
     lam: Fraction
     witness: Upset | None
-    method: str  # "enumeration" or "lp"
+    method: str  # "cut": decided by one minimum cut
 
 
 @dataclass
 class RatioResult:
-    """Optimal ratio together with the upset attaining it (when enumerated)."""
+    """Optimal ratio together with the largest upset attaining it."""
 
     ratio: Fraction
     witness: Upset | None
-    method: str
+    method: str  # "cut"
+
+
+def point_terms(
+    grid: BidGrid,
+    point: Point,
+    value: Fraction,
+    g: Sequence[Mapping[Point, Fraction]] | None = None,
+) -> tuple[Fraction, Fraction]:
+    """One point's terms ``(w(b) f(b), sum_{i: b_i = top} g_i(b_-i) w(b_-i))``.
+
+    Summed over the members of an upset they give both sides of the
+    inequality, because ``S|i`` holds exactly one member per ``b_-i`` with
+    ``b_i`` at the top.  ``g`` weights the right side per direction (the
+    synthesis budgets); without it every weight is 1.
+    """
+    rhs = Fraction(0)
+    for i, t in enumerate(point):
+        if t == grid.top:
+            others = point[:i] + point[i + 1 :]
+            w = weight_others(grid, others)
+            rhs += w if g is None else g[i][others] * w
+    return weight_vector(grid, point) * value, rhs
 
 
 def condition_sides(table: BenchmarkTable, upset: Upset) -> tuple[Fraction, Fraction]:
@@ -64,110 +86,117 @@ def condition_sides(table: BenchmarkTable, upset: Upset) -> tuple[Fraction, Frac
     ``lhs <= lam * rhs_base``.  Both are zero for the empty set and
     ``rhs_base`` is positive otherwise.
     """
-    grid = table.grid
-    lhs = Fraction(0)
-    for p in upset.points:
-        lhs += weight_vector(grid, p) * table[p]
-    rhs = Fraction(0)
-    for i in range(grid.n):
-        for others in project(upset, i):
-            rhs += weight_others(grid, others)
-    return lhs, rhs
+    terms = [point_terms(table.grid, p, table.values[p]) for p in upset.points]
+    zero = Fraction(0)
+    return sum((a for a, _ in terms), zero), sum((c for _, c in terms), zero)
 
 
-def _sides_chunk(
-    table: BenchmarkTable, upsets: list[Upset]
-) -> list[tuple[Fraction, Fraction]]:
-    return [condition_sides(table, s) for s in upsets]
-
-
-def _all_sides(
-    table: BenchmarkTable, upsets: list[Upset], workers: int
-) -> list[tuple[Fraction, Fraction]]:
-    if workers <= 1 or len(upsets) < 2 * workers:
-        return _sides_chunk(table, upsets)
-    size = -(-len(upsets) // workers)
-    chunks = [upsets[k : k + size] for k in range(0, len(upsets), size)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sides_chunk, [table] * len(chunks), chunks))
-    return [pair for part in parts for pair in part]
-
-
-def check_attainable(
+def _closure_terms(
     table: BenchmarkTable,
-    lam: Fraction,
-    symmetric_only: bool = False,
-    point_cap: int = DEFAULT_POINT_CAP,
-    lp_variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
-    workers: int = 1,
-) -> Verdict:
-    """Decide lam-attainability; on violation, report a worst witness upset.
+) -> tuple[list[Point], list[list[int]], list[int], list[int]]:
+    """Grid points, the indices of each one's covers, and ``a(b)``, ``c(b)``.
 
-    ``symmetric_only`` restricts the scan to permutation-invariant upsets,
-    which is sound only for symmetric benchmarks and is rejected otherwise.
-    Grids above the enumeration cap fall back to the LP oracle (no witness).
+    Both term lists are integers scaled by one common positive factor, which
+    changes neither the sign of ``a - lam*c`` nor any ratio ``a(S)/c(S)``.
+    """
+    grid = table.grid
+    check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "cut")
+    points = list(grid.points())
+    index = {p: k for k, p in enumerate(points)}
+    above = [[index[q] for q in covers(p, grid.top)] for p in points]
+    terms = [point_terms(grid, p, table.values[p]) for p in points]
+    scale = math.lcm(*(x.denominator for pair in terms for x in pair))
+    a = [lhs.numerator * (scale // lhs.denominator) for lhs, _ in terms]
+    c = [rhs.numerator * (scale // rhs.denominator) for _, rhs in terms]
+    return points, above, a, c
+
+
+def _worst_upset(
+    above: list[list[int]], a: list[int], c: list[int], lam: Fraction
+) -> tuple[int, list[int]]:
+    """Largest upset maximizing ``a - lam*c``, and that maximum (scaled).
+
+    A source arc feeds each point of positive weight, a sink arc drains each
+    point of negative weight, and each point pulls in its covers through arcs
+    no cut can take.  After Edmonds-Karp has pushed the maximum flow, the
+    points that cannot reach the sink in the residual graph form the largest
+    maximum-weight closure.
+    """
+    weight = [lam.denominator * x - lam.numerator * y for x, y in zip(a, c)]
+    source, sink = len(weight), len(weight) + 1
+    residual: list[dict[int, float]] = [{} for _ in range(len(weight) + 2)]
+
+    def arc(u: int, v: int, capacity: float) -> None:
+        residual[u][v] = capacity
+        residual[v].setdefault(u, 0)
+
+    for k, w in enumerate(weight):
+        if w > 0:
+            arc(source, k, w)
+        elif w < 0:
+            arc(k, sink, -w)
+        for q in above[k]:
+            arc(k, q, math.inf)
+    while True:  # shortest augmenting paths, found by breadth-first search
+        via = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, left in residual[u].items():
+                if left > 0 and v not in via:
+                    via[v] = u
+                    queue.append(v)
+        if sink not in via:
+            break
+        path = [(via[sink], sink)]
+        while path[-1][0] != source:
+            v = path[-1][0]
+            path.append((via[v], v))
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+    drains, queue = {sink}, [sink]
+    for v in queue:
+        for u in residual[v]:
+            if u not in drains and residual[u][v] > 0:
+                drains.add(u)
+                queue.append(u)
+    members = [k for k in range(len(weight)) if k not in drains]
+    return sum(weight[k] for k in members), members
+
+
+def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
+    """Decide lam-attainability by one minimum cut.
+
+    On violation the witness is the largest upset of maximum violation.
+    Grids above ``CUT_POINT_CAP`` points raise :class:`DomainTooLargeError`.
     """
     lam = Fraction(lam)
-    grid = table.grid
-    if symmetric_only and not check_symmetric(table):
-        raise ValueError("symmetric-only check requires a symmetric benchmark")
-    if grid.point_count() > point_cap:
-        ok = lp_feasible(table, lam, variable_cap=lp_variable_cap)
-        return Verdict(attainable=ok, lam=lam, witness=None, method="lp")
-
-    enum = enumerate_symmetric_upsets if symmetric_only else enumerate_upsets
-    upsets = enum(grid, point_cap)
-    sides = _all_sides(table, upsets, workers)
-    worst: Fraction | None = None
-    witness: Upset | None = None
-    for upset, (lhs, rhs) in zip(upsets, sides):
-        violation = lhs - lam * rhs
-        if violation > 0 and (worst is None or violation > worst):
-            worst = violation
-            witness = upset
-    if witness is None:
-        return Verdict(attainable=True, lam=lam, witness=None, method="enumeration")
-    return Verdict(attainable=False, lam=lam, witness=witness, method="enumeration")
+    points, above, a, c = _closure_terms(table)
+    excess, members = _worst_upset(above, a, c, lam)
+    if excess <= 0:
+        return Verdict(attainable=True, lam=lam, witness=None, method="cut")
+    witness = Upset.of(table.grid, (points[k] for k in members))
+    return Verdict(attainable=False, lam=lam, witness=witness, method="cut")
 
 
-def optimal_ratio(
-    table: BenchmarkTable,
-    symmetric_only: bool = False,
-    point_cap: int = DEFAULT_POINT_CAP,
-    lp_variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
-    workers: int = 1,
-) -> RatioResult:
+def optimal_ratio(table: BenchmarkTable) -> RatioResult:
     """Smallest attainable ratio: the maximum of lhs/rhs over nonempty upsets.
 
-    A benchmark that is zero everywhere has ratio 0, witnessed by the full
-    grid.  Beyond the enumeration cap the exact LP reformulation is used and
-    no witness is produced.
+    Dinkelbach's iteration from the full grid: set ``lam`` to the ratio of the
+    current upset, then move to the worst upset at ``lam`` until no upset
+    exceeds it.  Each move raises ``lam``, so it ends, and the witness is the
+    largest upset attaining the ratio (the full grid for a zero benchmark).
     """
-    grid = table.grid
-    if symmetric_only and not check_symmetric(table):
-        raise ValueError("symmetric-only check requires a symmetric benchmark")
-    if table.is_zero():
-        witness = Upset.full(grid) if grid.point_count() <= point_cap else None
-        return RatioResult(Fraction(0), witness, method="enumeration")
-    if grid.point_count() > point_cap:
-        return RatioResult(
-            optimal_ratio_lp(table, variable_cap=lp_variable_cap), None, method="lp"
-        )
-
-    enum = enumerate_symmetric_upsets if symmetric_only else enumerate_upsets
-    upsets = enum(grid, point_cap)
-    sides = _all_sides(table, upsets, workers)
-    best: Fraction | None = None
-    witness = None
-    for upset, (lhs, rhs) in zip(upsets, sides):
-        if not upset.points:
-            continue
-        ratio = lhs / rhs
-        if best is None or ratio > best:
-            best = ratio
-            witness = upset
-    assert best is not None and witness is not None
-    return RatioResult(best, witness, method="enumeration")
+    points, above, a, c = _closure_terms(table)
+    members = list(range(len(points)))
+    while True:
+        lam = Fraction(sum(a[k] for k in members), sum(c[k] for k in members))
+        excess, worst = _worst_upset(above, a, c, lam)
+        if excess == 0:
+            witness = Upset.of(table.grid, (points[k] for k in worst))
+            return RatioResult(lam, witness, method="cut")
+        members = worst
 
 
 def _variable_index(grid) -> dict[tuple[int, Point, int], int]:
@@ -177,15 +206,6 @@ def _variable_index(grid) -> dict[tuple[int, Point, int], int]:
             for t in range(grid.num_levels):
                 index[(i, others, t)] = len(index)
     return index
-
-
-def _check_lp_size(grid, variable_cap: int) -> None:
-    count = grid.n * grid.num_levels**grid.n
-    if count > variable_cap:
-        raise DomainTooLargeError(
-            f"revenue system needs {count} variables, above the LP cap of "
-            f"{variable_cap}"
-        )
 
 
 def _revenue_system(
@@ -201,7 +221,7 @@ def _revenue_system(
     mass stays below ``lam``.
     """
     grid = table.grid
-    _check_lp_size(grid, variable_cap)
+    check_size(grid.num_levels, grid.n, variable_cap // grid.n, "LP")
     index = _variable_index(grid)
     offset = 1 if lam is None else 0
     cover = Fraction(1) if lam is None else lam
@@ -237,26 +257,19 @@ def _revenue_system(
     return A_ub, b_ub, nvars
 
 
-def lp_feasible(
-    table: BenchmarkTable,
-    lam: Fraction,
-    variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
-) -> bool:
+def lp_feasible(table: BenchmarkTable, lam: Fraction) -> bool:
     """Exact feasibility of the revenue linear system at ratio ``lam``."""
-    A_ub, b_ub, nvars = _revenue_system(table, Fraction(lam), variable_cap)
+    A_ub, b_ub, nvars = _revenue_system(table, Fraction(lam), DEFAULT_LP_VARIABLE_CAP)
     return lp.feasible(A_ub, b_ub, num_vars=nvars)
 
 
-def optimal_ratio_lp(
-    table: BenchmarkTable,
-    variable_cap: int = DEFAULT_LP_VARIABLE_CAP,
-) -> Fraction:
+def optimal_ratio_lp(table: BenchmarkTable) -> Fraction:
     """Optimal ratio by exact LP.
 
     Substituting ``y_i = lam * x_i`` into the revenue system makes the ratio a
     genuine linear objective: minimize ``lam``, which is variable 0.
     """
-    A_ub, b_ub, nvars = _revenue_system(table, None, variable_cap)
+    A_ub, b_ub, nvars = _revenue_system(table, None, DEFAULT_LP_VARIABLE_CAP)
     cost = [Fraction(0)] * nvars
     cost[0] = Fraction(1)
     result = lp.solve_lp(cost, A_ub, b_ub)

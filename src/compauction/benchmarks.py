@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from compauction.grid import BidGrid, Point
+from compauction.grid import BidGrid, Point, covers
 
 BUILTIN_KINDS = ("f2", "maxv")
 
@@ -94,11 +94,9 @@ def check_monotone(
     grid = table.grid
     for p in grid.points():
         fp = table[p]
-        for j in range(grid.n):
-            if p[j] < grid.top:
-                q = p[:j] + (p[j] + 1,) + p[j + 1 :]
-                if table[q] < fp:
-                    return False, (p, q)
+        for q in covers(p, grid.top):
+            if table[q] < fp:
+                return False, (p, q)
     return True, None
 
 

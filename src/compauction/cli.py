@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success (or attainable), 1 negative verdict (violated /
-not attainable), 2 usage or input error, 3 internal invariant violation.
-Rationals print as exact ``p/q`` strings; pass ``--threads`` (or set
-``COMPAUCTION_THREADS``) to chunk the upset scans across worker processes.
+not attainable), 2 usage or input error, 3 internal error.  Rationals
+print as exact ``p/q`` strings.  ``check`` and ``optimal`` decide by one
+minimum cut per ratio; ``optimal --method lp|both`` asks the exact LP oracle
+instead or as well.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from fractions import Fraction
 
@@ -32,15 +32,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("COMPAUCTION_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(value, 1)
-
-
 def _parse_ratio(text: str) -> Fraction:
     value = serialize.parse_fraction(text)
     if value < 0:
@@ -59,16 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a ratio is attainable")
     p.add_argument("benchmark", help="benchmark JSON file")
     p.add_argument("ratio", help="competitive ratio (rational, e.g. 13/6)")
-    p.add_argument("--symmetric", action="store_true",
-                   help="scan symmetric upsets only (symmetric benchmarks)")
-    p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("optimal", help="compute the optimal competitive ratio")
     p.add_argument("benchmark")
-    p.add_argument("--method", choices=("enumeration", "lp", "both"),
-                   default="enumeration")
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--method", choices=("cut", "lp", "both"), default="cut")
 
     p = sub.add_parser("synthesize", help="construct an optimal truthful auction")
     p.add_argument("benchmark")
@@ -105,17 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_check(args) -> int:
     table = serialize.table_from_doc(serialize.load_file(args.benchmark))
     lam = _parse_ratio(args.ratio)
-    verdict = attainability.check_attainable(
-        table, lam, symmetric_only=args.symmetric, workers=args.threads
-    )
+    verdict = attainability.check_attainable(table, lam)
     sys.stdout.write(serialize.dumps(serialize.verdict_to_doc(verdict)))
     return EXIT_OK if verdict.attainable else EXIT_NEGATIVE
 
@@ -123,27 +109,20 @@ def _cmd_check(args) -> int:
 def _cmd_optimal(args) -> int:
     table = serialize.table_from_doc(serialize.load_file(args.benchmark))
     if args.method == "lp":
-        result = attainability.RatioResult(
-            attainability.optimal_ratio_lp(table), None, "lp"
-        )
+        ratio, witness = attainability.optimal_ratio_lp(table), None
     else:
-        result = attainability.optimal_ratio(
-            table, symmetric_only=args.symmetric, workers=args.threads
-        )
-        if args.method == "both":
-            other = attainability.optimal_ratio_lp(table)
-            if other != result.ratio:
-                raise SynthesisInvariantError(
-                    f"enumeration gives {result.ratio}, LP gives {other}"
-                )
-            result = attainability.RatioResult(result.ratio, result.witness, "both")
+        result = attainability.optimal_ratio(table)
+        ratio, witness = result.ratio, result.witness
+        other = ratio if args.method == "cut" else attainability.optimal_ratio_lp(table)
+        if other != ratio:
+            raise SynthesisInvariantError(f"the cut gives {ratio}, the LP {other}")
     doc = {
-        "lambda": serialize.fraction_to_str(result.ratio),
-        "lambda_decimal": float(result.ratio),
+        "lambda": serialize.fraction_to_str(ratio),
+        "lambda_decimal": float(ratio),
         "witness_upset": None
-        if result.witness is None
-        else [list(p) for p in sorted(result.witness.points)],
-        "method": result.method,
+        if witness is None
+        else [list(p) for p in sorted(witness.points)],
+        "method": args.method,
     }
     sys.stdout.write(serialize.dumps(doc))
     return EXIT_OK
@@ -208,6 +187,8 @@ def _cmd_simulate(args) -> int:
         raise FormatError("--n must be at least 2")
     if args.samples < 1 or args.blocks < 1 or args.samples < args.blocks:
         raise FormatError("need samples >= blocks >= 1")
+    if args.seed < 0:
+        raise FormatError("--seed must be non-negative")
     stat = ratios.f2_statistic if args.benchmark == "f2" else ratios.maxv_statistic
     estimate, error = ratios.mc_expected(
         stat, args.n, args.samples, args.blocks, seed=args.seed
@@ -276,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     except NotAttainableError as exc:
         print(f"not attainable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (SynthesisInvariantError, synthesis.IterationLimitError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a bug, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

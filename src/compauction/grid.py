@@ -27,7 +27,19 @@ DEFAULT_POINT_CAP = 16
 
 
 class DomainTooLargeError(ValueError):
-    """An exhaustive scan was asked to cover more grid points than its cap."""
+    """A grid has more points than the work asked of it allows."""
+
+
+def check_size(num_levels: int, n: int, cap: int, purpose: str) -> None:
+    """Reject a ``num_levels^n`` grid past ``cap`` points or ``cap`` bidders.
+
+    The exponent is clipped at ``cap.bit_length()``, which already takes any
+    ladder of two or more levels past ``cap``, so a huge ``n`` costs nothing.
+    """
+    if n > cap or num_levels ** min(n, cap.bit_length()) > cap:
+        raise DomainTooLargeError(
+            f"grid of {num_levels}^{n} points is above the {purpose} cap of {cap}"
+        )
 
 
 @dataclass(frozen=True)
@@ -74,11 +86,20 @@ class BidGrid:
         )
         return below + (Fraction(1) / (1 + self.delta) ** self.top,)
 
+    @functools.cached_property
+    def product_weights(self) -> dict[Point, Fraction]:
+        """Product weight of every vector of up to ``n`` levels, computed once."""
+        weights = layer = {(): Fraction(1)}
+        for _ in range(self.n):
+            layer = {
+                p + (t,): w * m for p, w in layer.items()
+                for t, m in enumerate(self.level_weights)
+            }
+            weights = weights | layer
+        return weights
+
     def values(self) -> tuple[Fraction, ...]:
         return tuple(self.level_value(t) for t in range(self.num_levels))
-
-    def point_count(self) -> int:
-        return self.num_levels**self.n
 
     def points(self) -> Iterator[Point]:
         """All bid vectors, lexicographically."""
@@ -87,9 +108,6 @@ class BidGrid:
     def others_points(self) -> Iterator[Point]:
         """All (n-1)-dimensional vectors of the remaining bidders."""
         return itertools.product(range(self.num_levels), repeat=self.n - 1)
-
-    def point_values(self, point: Point) -> tuple[Fraction, ...]:
-        return tuple(self.level_value(t) for t in point)
 
 
 def weight_level(grid: BidGrid, t: int) -> Fraction:
@@ -108,35 +126,34 @@ def weight_tail(grid: BidGrid, k: int) -> Fraction:
 
 def weight_vector(grid: BidGrid, point: Point) -> Fraction:
     """Product weight of a full bid vector; sums to 1 over the whole grid."""
-    if len(point) != grid.n:
-        raise ValueError(f"expected {grid.n} coordinates, got {len(point)}")
-    w = Fraction(1)
-    for t in point:
-        w *= weight_level(grid, t)
-    return w
+    return _product_weight(grid, point, grid.n)
 
 
 def weight_others(grid: BidGrid, others: Point) -> Fraction:
     """Product weight of an (n-1)-dimensional vector of the other bidders."""
-    if len(others) != grid.n - 1:
-        raise ValueError(f"expected {grid.n - 1} coordinates, got {len(others)}")
-    w = Fraction(1)
-    for t in others:
-        w *= weight_level(grid, t)
-    return w
+    return _product_weight(grid, others, grid.n - 1)
+
+
+def _product_weight(grid: BidGrid, levels: Point, width: int) -> Fraction:
+    if len(levels) != width:
+        raise ValueError(f"expected {width} coordinates, got {len(levels)}")
+    try:
+        return grid.product_weights[tuple(levels)]
+    except KeyError:
+        raise ValueError(f"level index outside [0, {grid.top}] in {levels}") from None
+
+
+def covers(point: Point, top: int) -> Iterator[Point]:
+    """The points one level above ``point`` in a single coordinate."""
+    for j, t in enumerate(point):
+        if t < top:
+            yield point[:j] + (t + 1,) + point[j + 1 :]
 
 
 def is_upward_closed(points: Iterable[Point], num_levels: int, n: int) -> bool:
     """True iff the set is closed under raising any coordinate by one level."""
     pts = frozenset(points)
-    top = num_levels - 1
-    for p in pts:
-        for j in range(n):
-            if p[j] < top:
-                q = p[:j] + (p[j] + 1,) + p[j + 1 :]
-                if q not in pts:
-                    return False
-    return True
+    return all(q in pts for p in pts for q in covers(p, num_levels - 1))
 
 
 @dataclass(frozen=True)
@@ -189,10 +206,6 @@ class Upset:
         self._check_compatible(other)
         return Upset(self.num_levels, self.n, self.points & other.points)
 
-    def issubset(self, other: "Upset") -> bool:
-        self._check_compatible(other)
-        return self.points <= other.points
-
     def _check_compatible(self, other: "Upset") -> None:
         if (self.num_levels, self.n) != (other.num_levels, other.n):
             raise ValueError("upsets live on different grids")
@@ -217,14 +230,6 @@ def project(upset: Upset, i: int) -> frozenset[Point]:
     return frozenset(p[:i] + p[i + 1 :] for p in upset.points)
 
 
-def _point_cap_guard(grid: BidGrid, point_cap: int) -> None:
-    if grid.point_count() > point_cap:
-        raise DomainTooLargeError(
-            f"grid has {grid.point_count()} points, above the enumeration cap "
-            f"of {point_cap}"
-        )
-
-
 def enumerate_upsets(grid: BidGrid, point_cap: int = DEFAULT_POINT_CAP) -> list[Upset]:
     """Every upward-closed subset of the grid, exactly once, in a fixed order.
 
@@ -232,16 +237,10 @@ def enumerate_upsets(grid: BidGrid, point_cap: int = DEFAULT_POINT_CAP) -> list[
     when all its upward covers are already in.  The empty set comes first and
     the full grid last.
     """
-    _point_cap_guard(grid, point_cap)
+    check_size(grid.num_levels, grid.n, point_cap, "enumeration")
     order = sorted(grid.points(), key=lambda p: (sum(p), p), reverse=True)
-    top = grid.top
     results: list[Upset] = []
     members: set[Point] = set()
-
-    def covers(p: Point) -> Iterator[Point]:
-        for j in range(grid.n):
-            if p[j] < top:
-                yield p[:j] + (p[j] + 1,) + p[j + 1 :]
 
     def walk(idx: int) -> None:
         if idx == len(order):
@@ -249,17 +248,10 @@ def enumerate_upsets(grid: BidGrid, point_cap: int = DEFAULT_POINT_CAP) -> list[
             return
         p = order[idx]
         walk(idx + 1)
-        if all(q in members for q in covers(p)):
+        if all(q in members for q in covers(p, grid.top)):
             members.add(p)
             walk(idx + 1)
             members.remove(p)
 
     walk(0)
     return results
-
-
-def enumerate_symmetric_upsets(
-    grid: BidGrid, point_cap: int = DEFAULT_POINT_CAP
-) -> list[Upset]:
-    """Only the upsets invariant under all coordinate permutations."""
-    return [s for s in enumerate_upsets(grid, point_cap) if s.is_symmetric()]

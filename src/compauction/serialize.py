@@ -22,7 +22,9 @@ from compauction.benchmarks import (
     builtin_table,
     validate_table,
 )
-from compauction.grid import BidGrid, Point, Upset
+from compauction.grid import BidGrid, Point, Upset, check_size
+
+MAX_GRID_POINTS = 2**16  # checked before tabulation; 129 levels x 2 bidders fit
 
 
 class FormatError(ValueError):
@@ -88,9 +90,11 @@ def grid_from_doc(doc: Any) -> BidGrid:
     levels = _expect(doc, "levels", int)
     n = _expect(doc, "n", int)
     try:
-        return BidGrid(delta, levels, n)
+        grid = BidGrid(delta, levels, n)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    check_size(levels, n, MAX_GRID_POINTS, "document")
+    return grid
 
 
 def _point_from_doc(doc: Any, grid: BidGrid, width: int) -> Point:
@@ -118,7 +122,10 @@ def table_from_doc(doc: Any) -> BenchmarkTable:
     grid = grid_from_doc(_expect(doc, "grid", dict))
     kind = _expect(doc, "kind", str)
     if kind in BUILTIN_KINDS:
-        return builtin_table(grid, kind)
+        try:
+            return builtin_table(grid, kind)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
     if kind != "custom":
         raise FormatError(f"unknown benchmark kind {kind!r}")
     rows = _expect(doc, "values", list)

@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
-from compauction.attainability import check_attainable
+from compauction.attainability import check_attainable, point_terms
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
@@ -43,11 +44,11 @@ from compauction.grid import (
     BidGrid,
     Point,
     Upset,
+    covers,
     enumerate_upsets,
     project,
     weight_level,
     weight_others,
-    weight_vector,
 )
 
 DEFAULT_STEP_CAP = 10**6
@@ -123,22 +124,28 @@ def support_upset(state: SynthesisState) -> Upset:
     return Upset(state.grid.num_levels, state.grid.n, pts)
 
 
-def eq_sides(state: SynthesisState, upset: Upset) -> tuple[Fraction, Fraction]:
-    """Sides of the g-weighted inequality ``lhs <= lam * rhs`` for one upset."""
-    grid = state.grid
-    lhs = Fraction(0)
-    for p in upset.points:
-        lhs += weight_vector(grid, p) * state.f[p]
-    rhs = Fraction(0)
-    for i in range(grid.n):
-        for others in project(upset, i):
-            rhs += state.g[i][others] * weight_others(grid, others)
-    return lhs, rhs
+def slack_shares(
+    state: SynthesisState, points: Iterable[Point] | None = None
+) -> dict[Point, Fraction]:
+    """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack.
+
+    An upset's slack is the sum of its members' terms; ``points`` defaults to
+    the whole grid.
+    """
+    shares = {}
+    for p in state.grid.points() if points is None else points:
+        a, c = point_terms(state.grid, p, state.f[p], state.g)
+        shares[p] = state.lam * c - a
+    return shares
 
 
-def eq_slack(state: SynthesisState, upset: Upset) -> Fraction:
-    lhs, rhs = eq_sides(state, upset)
-    return state.lam * rhs - lhs
+def eq_slack(
+    state: SynthesisState, upset: Upset, shares: dict[Point, Fraction] | None = None
+) -> Fraction:
+    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset."""
+    if shares is None:
+        shares = slack_shares(state, upset.points)
+    return sum((shares[p] for p in upset.points), Fraction(0))
 
 
 def pick_direction(state: SynthesisState) -> Direction:
@@ -207,10 +214,11 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
 
     stuck: list[Upset] = []
     binding: list[tuple[Fraction, Upset]] = []
+    shares = slack_shares(state)
     for upset in state.upsets:
         if not upset.points:
             continue
-        slack = eq_slack(state, upset)
+        slack = eq_slack(state, upset, shares)
         rate = _slack_rate(state, upset, d)
         if slack == 0:
             if rate > 0 and upset not in state.chain:
@@ -313,7 +321,7 @@ def synthesize(
     """
     lam = Fraction(lam)
     grid = table.grid
-    verdict = check_attainable(table, lam, point_cap=point_cap)
+    verdict = check_attainable(table, lam)
     if not verdict.attainable:
         raise NotAttainableError(
             f"benchmark is not attainable at ratio {lam}; "
@@ -374,11 +382,12 @@ def check_invariants(
     """
     grid = state.grid
 
+    shares = slack_shares(state)
     for upset in state.upsets:
-        if eq_slack(state, upset) < 0:
+        if eq_slack(state, upset, shares) < 0:
             raise SynthesisInvariantError(f"inequality violated for {sorted(upset)}")
     for s in state.chain[1:]:
-        if s.points and eq_slack(state, s) != 0:
+        if s.points and eq_slack(state, s, shares) != 0:
             raise SynthesisInvariantError(f"chain set {sorted(s)} lost tightness")
     for a, b in zip(state.chain, state.chain[1:]):
         if not b.points < a.points:
@@ -389,11 +398,8 @@ def check_invariants(
     for p, v in state.f.items():
         if v < 0:
             raise SynthesisInvariantError(f"working benchmark negative at {p}")
-        for j in range(grid.n):
-            if p[j] < grid.top:
-                q = p[:j] + (p[j] + 1,) + p[j + 1 :]
-                if state.f[q] < v:
-                    raise SynthesisInvariantError("working benchmark not monotone")
+        if any(state.f[q] < v for q in covers(p, grid.top)):
+            raise SynthesisInvariantError("working benchmark not monotone")
 
     for i in range(grid.n):
         for others, val in state.g[i].items():

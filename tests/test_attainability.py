@@ -1,11 +1,12 @@
-"""Attainability characterization: enumeration route, LP route, and their
-agreement."""
+"""Attainability characterization: the min-cut route, and its agreement with
+the enumeration and LP oracles."""
 
 from fractions import Fraction
 
 import pytest
 
 from compauction.attainability import (
+    CUT_POINT_CAP,
     check_attainable,
     condition_sides,
     lp_feasible,
@@ -13,7 +14,7 @@ from compauction.attainability import (
     optimal_ratio_lp,
 )
 from compauction.benchmarks import BenchmarkTable, builtin_table
-from compauction.grid import BidGrid, Upset, enumerate_upsets
+from compauction.grid import BidGrid, DomainTooLargeError, Upset, enumerate_upsets
 from tests.conftest import (
     random_monotone_table,
     random_symmetric_monotone_table,
@@ -50,7 +51,7 @@ def test_check_attainable_two_tier():
     table = two_tier_table()
     verdict = check_attainable(table, Fraction(1))
     assert verdict.attainable and verdict.witness is None
-    assert verdict.method == "enumeration"
+    assert verdict.method == "cut"
 
     verdict = check_attainable(table, Fraction(9, 10))
     assert not verdict.attainable
@@ -143,23 +144,16 @@ def test_tight_sets_form_a_lattice(rng):
                 assert a.intersection(b).points in tights
 
 
-def test_symmetric_restriction_is_sound(rng):
+def test_witnesses_of_symmetric_tables_are_symmetric(rng):
+    # the largest maximizer is unique, so it inherits every symmetry of the table
     for grid in small_grids():
         for _ in range(6):
             table = random_symmetric_monotone_table(grid, rng)
-            full = optimal_ratio(table).ratio
-            restricted = optimal_ratio(table, symmetric_only=True).ratio
-            assert full == restricted
-
-
-def test_symmetric_only_rejects_asymmetric_tables():
-    values = {(0, 0): Fraction(0), (0, 1): Fraction(2), (1, 0): Fraction(1),
-              (1, 1): Fraction(2)}
-    table = BenchmarkTable(G22, values)
-    with pytest.raises(ValueError):
-        check_attainable(table, Fraction(1), symmetric_only=True)
-    with pytest.raises(ValueError):
-        optimal_ratio(table, symmetric_only=True)
+            result = optimal_ratio(table)
+            assert result.witness.is_symmetric()
+            if result.ratio > 0:
+                verdict = check_attainable(table, result.ratio * Fraction(63, 64))
+                assert verdict.witness.is_symmetric()
 
 
 def test_ratio_scales_with_the_benchmark(rng):
@@ -169,26 +163,68 @@ def test_ratio_scales_with_the_benchmark(rng):
         assert optimal_ratio(table.scaled(c)).ratio == c * base
 
 
-def test_large_grid_falls_back_to_lp():
-    grid = BidGrid(Fraction(1), 5, 2)  # 25 points, above the default cap
+def test_cut_decides_past_the_enumeration_cap():
+    grid = BidGrid(Fraction(1), 5, 2)  # 25 points, above the enumeration cap
     table = builtin_table(grid, "f2")
-    verdict = check_attainable(table, Fraction(3), point_cap=16)
-    assert verdict.method == "lp"
-    assert verdict.attainable
-    assert verdict.witness is None
-    result = optimal_ratio(table, point_cap=16)
-    assert result.method == "lp"
-    assert result.witness is None
-    # the LP answer agrees with enumeration once the cap permits it
-    assert result.ratio == optimal_ratio(table, point_cap=25).ratio
+    verdict = check_attainable(table, Fraction(3))
+    assert verdict.method == "cut" and verdict.attainable
+    result = optimal_ratio(table)
+    assert result.method == "cut" and result.ratio == Fraction(47, 32)
+    lhs, rhs = condition_sides(table, result.witness)
+    assert lhs == result.ratio * rhs
+    assert result.ratio == optimal_ratio_lp(table)
+    enumerated = max(
+        lhs / rhs
+        for lhs, rhs in (condition_sides(table, s) for s in enumerate_upsets(grid, 25))
+        if rhs
+    )
+    assert result.ratio == enumerated
 
 
-def test_worker_chunking_is_deterministic():
-    table = builtin_table(BidGrid(Fraction(1), 3, 2), "f2")
-    serial = optimal_ratio(table, workers=1)
-    chunked = optimal_ratio(table, workers=2)
-    assert serial.ratio == chunked.ratio
-    assert serial.witness == chunked.witness
-    v1 = check_attainable(table, serial.ratio * Fraction(1, 2), workers=2)
-    v2 = check_attainable(table, serial.ratio * Fraction(1, 2), workers=1)
-    assert (v1.attainable, v1.witness) == (v2.attainable, v2.witness)
+def test_cut_matches_the_known_f2_ratios():
+    for levels, n, ratio in ((4, 2, Fraction(23, 16)), (2, 4, Fraction(19, 16)),
+                             (3, 3, Fraction(23, 16)), (8, 2, Fraction(383, 256))):
+        table = builtin_table(BidGrid(Fraction(1), levels, n), "f2")
+        assert optimal_ratio(table).ratio == ratio
+
+
+def _largest_maximizer(table, weight):
+    """Oracle: the best weight over all upsets and the union of its maximizers."""
+    scored = [(weight(*condition_sides(table, s)), s.points)
+              for s in enumerate_upsets(table.grid)]
+    best = max(value for value, _ in scored)
+    union = frozenset().union(*(pts for value, pts in scored if value == best))
+    return best, union
+
+
+def test_cut_agrees_with_enumeration(rng):
+    grids = small_grids() + [BidGrid(Fraction(1), 4, 2), BidGrid(Fraction(1), 2, 4),
+                             BidGrid(Fraction(1, 2), 3, 1)]
+    for grid in grids:
+        for _ in range(8):
+            table = random_monotone_table(grid, rng, nonzero=True)
+            result = optimal_ratio(table)
+            best, tight = _largest_maximizer(table, lambda l, r: l - result.ratio * r)
+            assert best == 0 and result.witness.points == tight
+            assert result.ratio == max(
+                lhs / rhs
+                for lhs, rhs in (condition_sides(table, s) for s in enumerate_upsets(grid))
+                if rhs
+            )
+            for lam in (result.ratio * Fraction(63, 64), result.ratio / 2):
+                verdict = check_attainable(table, lam)
+                worst, union = _largest_maximizer(table, lambda l, r: l - lam * r)
+                assert not verdict.attainable and verdict.witness.points == union
+                lhs, rhs = condition_sides(table, verdict.witness)
+                assert lhs - lam * rhs == worst > 0
+
+
+def test_cut_size_bound():
+    side = 33  # 33 * 33 = 1089 points
+    assert side * side > CUT_POINT_CAP
+    grid = BidGrid(Fraction(1), side, 2)
+    table = BenchmarkTable(grid, {p: Fraction(sum(p)) for p in grid.points()})
+    with pytest.raises(DomainTooLargeError):
+        check_attainable(table, Fraction(2))
+    with pytest.raises(DomainTooLargeError):
+        optimal_ratio(table)

@@ -22,7 +22,7 @@ def test_check_attainable_exit_codes(capsys, tmp_path):
     code, out, _ = run(capsys, "check", TWO_TIER, "1")
     assert code == 0
     doc = json.loads(out)
-    assert doc["attainable"] is True and doc["method"] == "enumeration"
+    assert doc["attainable"] is True and doc["method"] == "cut"
 
     code, out, _ = run(capsys, "check", TWO_TIER, "1/2")
     assert code == 1
@@ -65,7 +65,7 @@ def test_optimal_command(capsys):
     doc = json.loads(out)
     assert doc["lambda"] == "1"
     assert doc["lambda_decimal"] == 1.0
-    assert doc["method"] == "enumeration"
+    assert doc["method"] == "cut"
 
     code, out, _ = run(capsys, "optimal", F2_FILE, "--method", "both")
     doc = json.loads(out)
@@ -296,21 +296,71 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-def test_thread_count_env_default(monkeypatch):
-    from compauction.cli import build_parser
-
-    monkeypatch.setenv("COMPAUCTION_THREADS", "3")
-    args = build_parser().parse_args(["check", "x.json", "1"])
-    assert args.threads == 3
-    monkeypatch.setenv("COMPAUCTION_THREADS", "junk")
-    args = build_parser().parse_args(["check", "x.json", "1"])
-    assert args.threads == 1
+def test_removed_options_are_usage_errors(capsys):
+    for argv in (("check", F2_FILE, "5/4", "--threads", "2"),
+                 ("check", F2_FILE, "5/4", "--symmetric"),
+                 ("optimal", F2_FILE, "--symmetric"),
+                 ("optimal", F2_FILE, "--method", "enumeration")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
 
 
-def test_check_runs_with_worker_processes(capsys):
-    code, out, _ = run(capsys, "check", F2_FILE, "5/4", "--threads", "2")
-    assert code == 0
-    assert json.loads(out)["attainable"] is True
+def test_optimal_names_a_witness_past_the_enumeration_cap(capsys, tmp_path):
+    bench = tmp_path / "f2_5x2.json"
+    bench.write_text(serialize.dumps(
+        {"grid": {"delta": "1", "levels": 5, "n": 2}, "kind": "f2"}))
+    code, out, _ = run(capsys, "optimal", str(bench))
+    doc = json.loads(out)
+    assert code == 0 and doc["lambda"] == "47/32" and doc["method"] == "cut"
+    assert len(doc["witness_upset"]) == 25
+    code, out, _ = run(capsys, "check", str(bench), "23/16")
+    assert code == 1 and json.loads(out)["witness_upset"]
+
+
+def test_bad_input_never_exits_one(capsys, tmp_path):
+    one_bidder = tmp_path / "one.json"
+    one_bidder.write_text(serialize.dumps(
+        {"grid": {"delta": "1", "levels": 2, "n": 1}, "kind": "f2"}))
+    for command in (("check", str(one_bidder), "1"), ("optimal", str(one_bidder))):
+        code, _, err = run(capsys, *command)
+        assert code == 2 and "two bidders" in err and "Traceback" not in err
+    code, _, err = run(capsys, "simulate", "--benchmark", "f2", "--n", "2",
+                       "--samples", "100", "--blocks", "10", "--seed", "-1")
+    assert code == 2 and "seed" in err and "Traceback" not in err
+    code, _, err = run(capsys, "synthesize", TWO_TIER, "1",
+                       "--output", str(tmp_path / "no" / "such" / "dir.json"))
+    assert code == 2 and "cannot write" in err
+
+
+def test_oversized_grids_are_rejected_before_tabulation(capsys, tmp_path, monkeypatch):
+    bench = tmp_path / "huge.json"
+    # past the cut's bound but within the document bound: still an input error
+    bench.write_text(serialize.dumps(
+        {"grid": {"delta": "1", "levels": 33, "n": 2}, "kind": "f2"}))
+    code, _, err = run(capsys, "optimal", str(bench))
+    assert code == 2 and "cut cap" in err
+
+    def tabulate(grid, kind):
+        raise AssertionError("an oversized grid reached the tabulation")
+
+    monkeypatch.setattr(serialize, "builtin_table", tabulate)
+    for levels, n in ((10**6, 10**9), (2, 17), (257, 2), (1, 10**12)):
+        bench.write_text(serialize.dumps(
+            {"grid": {"delta": "1", "levels": levels, "n": n}, "kind": "f2"}))
+        code, _, err = run(capsys, "check", str(bench), "2")
+        assert code == 2 and "document cap" in err and "Traceback" not in err
+
+
+def test_unexpected_errors_are_internal(capsys, monkeypatch):
+    from compauction import attainability
+
+    def broken(table, lam):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(attainability, "check_attainable", broken)
+    code, out, err = run(capsys, "check", TWO_TIER, "1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and "Traceback" not in err
 
 
 def test_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from compauction.grid import (
     BidGrid,
     DomainTooLargeError,
     Upset,
-    enumerate_symmetric_upsets,
+    check_size,
     enumerate_upsets,
     is_upward_closed,
     project,
@@ -132,27 +132,27 @@ def test_enumeration_cap():
     assert len(enumerate_upsets(big, point_cap=25)) == 252
 
 
-def test_symmetric_upsets_two_by_two():
-    found = {s.points for s in enumerate_symmetric_upsets(G22)}
-    assert found == {
-        frozenset(),
-        frozenset({(1, 1)}),
-        frozenset({(0, 1), (1, 0), (1, 1)}),
-        frozenset(G22.points()),
-    }
+def test_check_size_never_builds_the_power():
+    check_size(129, 2, 2**16, "test")
+    check_size(1, 2**16, 2**16, "test")  # one point, many bidders
+    for levels, n in ((10**6, 10**9), (2, 10**18), (1, 10**18), (2**17, 1), (2, 17)):
+        with pytest.raises(DomainTooLargeError):
+            check_size(levels, n, 2**16, "test")
 
 
-def test_symmetric_upsets_single_bidder():
-    g = BidGrid(Fraction(1), 3, 1)
-    assert enumerate_symmetric_upsets(g) == enumerate_upsets(g)
-
-
-@pytest.mark.parametrize("grid", small_grids(), ids=str)
-def test_symmetric_upsets_are_a_subset(grid):
-    full = {s.points for s in enumerate_upsets(grid)}
-    for s in enumerate_symmetric_upsets(grid):
-        assert s.points in full
-        assert s.is_symmetric()
+def test_product_weights_are_computed_once():
+    grid = BidGrid(Fraction(1, 3), 3, 3)
+    assert grid.product_weights is grid.product_weights
+    for p in grid.points():
+        expected = Fraction(1)
+        for t in p:
+            expected *= weight_level(grid, t)
+        assert weight_vector(grid, p) == expected
+        assert weight_others(grid, p[1:]) == expected / weight_level(grid, p[0])
+    with pytest.raises(ValueError):
+        weight_vector(grid, (0, 0, 3))
+    with pytest.raises(ValueError):
+        weight_others(grid, (3, 0))
 
 
 def test_project_examples():
