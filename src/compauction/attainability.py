@@ -91,6 +91,11 @@ def condition_sides(table: BenchmarkTable, upset: Upset) -> tuple[Fraction, Frac
     return sum((a for a, _ in terms), zero), sum((c for _, c in terms), zero)
 
 
+def check_cut_size(grid: BidGrid) -> None:
+    """Reject a grid past ``CUT_POINT_CAP`` points."""
+    check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "cut")
+
+
 def _closure_terms(
     table: BenchmarkTable,
 ) -> tuple[list[Point], list[list[int]], list[int], list[int]]:
@@ -100,7 +105,7 @@ def _closure_terms(
     changes neither the sign of ``a - lam*c`` nor any ratio ``a(S)/c(S)``.
     """
     grid = table.grid
-    check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "cut")
+    check_cut_size(grid)
     points = list(grid.points())
     index = {p: k for k, p in enumerate(points)}
     above = [[index[q] for q in covers(p, grid.top)] for p in points]
@@ -118,15 +123,17 @@ def _worst_upset(
 
     A source arc feeds each point of positive weight, a sink arc drains each
     point of negative weight, and each point pulls in its covers through arcs
-    no cut can take.  After Edmonds-Karp has pushed the maximum flow, the
-    points that cannot reach the sink in the residual graph form the largest
-    maximum-weight closure.
+    no minimum cut can take: their integer capacity exceeds all the source
+    arcs together, so every flow value stays exact at any magnitude.  After
+    Edmonds-Karp has pushed the maximum flow, the points that cannot reach the
+    sink in the residual graph form the largest maximum-weight closure.
     """
     weight = [lam.denominator * x - lam.numerator * y for x, y in zip(a, c)]
     source, sink = len(weight), len(weight) + 1
-    residual: list[dict[int, float]] = [{} for _ in range(len(weight) + 2)]
+    uncut = 1 + sum(w for w in weight if w > 0)
+    residual: list[dict[int, int]] = [{} for _ in range(len(weight) + 2)]
 
-    def arc(u: int, v: int, capacity: float) -> None:
+    def arc(u: int, v: int, capacity: int) -> None:
         residual[u][v] = capacity
         residual[v].setdefault(u, 0)
 
@@ -136,7 +143,7 @@ def _worst_upset(
         elif w < 0:
             arc(k, sink, -w)
         for q in above[k]:
-            arc(k, q, math.inf)
+            arc(k, q, uncut)
     while True:  # shortest augmenting paths, found by breadth-first search
         via = {source: source}
         queue = [source]

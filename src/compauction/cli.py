@@ -14,11 +14,12 @@ import csv
 import io
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from compauction import attainability, ratios, serialize, synthesis
 from compauction.auctions import check_profile_valid, competitive_ratio
-from compauction.benchmarks import limited_supply_bounds
-from compauction.grid import DomainTooLargeError
+from compauction.benchmarks import BenchmarkTable, check_supply, limited_supply_bounds
+from compauction.grid import BidGrid, DomainTooLargeError
 from compauction.serialize import FormatError
 from compauction.synthesis import (
     NotAttainableError,
@@ -30,6 +31,15 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# Largest sizes ``ratios`` and ``simulate`` accept (exit 2 past them).  The
+# exact ratio sums grow about cubically in the bidder count; a simulation
+# draws ``samples * n`` floats in all, ``(samples // blocks) * n`` at once,
+# and spawns one seed sequence per block.
+MAX_BIDDERS = 256
+MAX_DRAWS = 10**8
+MAX_BLOCK_DRAWS = 2**22
+MAX_BLOCKS = 10**4
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -98,8 +108,16 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
+def _load_table(path: str, check: Callable[[BidGrid], None]) -> BenchmarkTable:
+    """Read a benchmark document; ``check`` sees its grid before tabulation."""
+    doc = serialize.load_file(path)
+    if isinstance(doc, dict) and isinstance(doc.get("grid"), dict):
+        check(serialize.grid_from_doc(doc["grid"]))
+    return serialize.table_from_doc(doc)
+
+
 def _cmd_check(args) -> int:
-    table = serialize.table_from_doc(serialize.load_file(args.benchmark))
+    table = _load_table(args.benchmark, attainability.check_cut_size)
     lam = _parse_ratio(args.ratio)
     verdict = attainability.check_attainable(table, lam)
     sys.stdout.write(serialize.dumps(serialize.verdict_to_doc(verdict)))
@@ -107,7 +125,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    table = serialize.table_from_doc(serialize.load_file(args.benchmark))
+    table = _load_table(args.benchmark, attainability.check_cut_size)
     if args.method == "lp":
         ratio, witness = attainability.optimal_ratio_lp(table), None
     else:
@@ -129,7 +147,7 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    table = serialize.table_from_doc(serialize.load_file(args.benchmark))
+    table = _load_table(args.benchmark, synthesis.check_synthesis_size)
     if args.ratio is None:
         lam = attainability.optimal_ratio(table).ratio
     else:
@@ -159,8 +177,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
-    if args.max_n < 2:
-        raise FormatError("--max-n must be at least 2")
+    if not 2 <= args.max_n <= MAX_BIDDERS:
+        raise FormatError(f"--max-n must lie in [2, {MAX_BIDDERS}]")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
@@ -183,10 +201,19 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.n < 2:
-        raise FormatError("--n must be at least 2")
+    if not 2 <= args.n <= MAX_BIDDERS:
+        raise FormatError(f"--n must lie in [2, {MAX_BIDDERS}]")
     if args.samples < 1 or args.blocks < 1 or args.samples < args.blocks:
         raise FormatError("need samples >= blocks >= 1")
+    if args.blocks > MAX_BLOCKS:
+        raise FormatError(f"--blocks must be at most {MAX_BLOCKS}")
+    if args.samples * args.n > MAX_DRAWS:
+        raise FormatError(f"samples * n must be at most {MAX_DRAWS}")
+    if args.samples // args.blocks * args.n > MAX_BLOCK_DRAWS:
+        raise FormatError(
+            f"(samples // blocks) * n must be at most {MAX_BLOCK_DRAWS}; "
+            "raise --blocks"
+        )
     if args.seed < 0:
         raise FormatError("--seed must be non-negative")
     stat = ratios.f2_statistic if args.benchmark == "f2" else ratios.maxv_statistic
@@ -213,8 +240,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    table = serialize.table_from_doc(serialize.load_file(args.benchmark))
     try:
+        table = _load_table(args.benchmark, lambda g: check_supply(g, args.supply))
         upper, lower = limited_supply_bounds(table, args.supply)
     except ValueError as exc:
         raise FormatError(str(exc)) from None

@@ -140,7 +140,7 @@ class EqualRevenueSampler:
     """Seeded i.i.d. sampler of the equal-revenue prior via inverse CDF."""
 
     n: int
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -193,9 +193,8 @@ def mc_expected(
     seeds = np.random.SeedSequence(seed).spawn(blocks)
     means = np.empty(blocks)
     for b, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        u = 1.0 - rng.random((block_size, n))
-        means[b] = float(np.mean(stat(bids_from_uniform(u))))
+        bids = EqualRevenueSampler(n, seed=s).sample(block_size)
+        means[b] = float(np.mean(stat(bids)))
     estimate = float(np.median(means))
     mad = float(np.median(np.abs(means - estimate)))
     error = 1.4826 * mad / math.sqrt(blocks)

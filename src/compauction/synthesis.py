@@ -44,6 +44,7 @@ from compauction.grid import (
     BidGrid,
     Point,
     Upset,
+    check_size,
     covers,
     enumerate_upsets,
     project,
@@ -167,35 +168,32 @@ def pick_direction(state: SynthesisState) -> Direction:
     raise SynthesisInvariantError("no coordinate has budgeted mass left")
 
 
-def _slack_rate(state: SynthesisState, upset: Upset, d: Direction) -> Fraction:
-    """How fast the upset's slack shrinks per unit of eps (can be <= 0).
+def rate_shares(state: SynthesisState, d: Direction) -> dict[Point, Fraction]:
+    """Each point's term of how fast an upset's slack shrinks per unit of eps.
 
-    The right side loses ``lam * w(b_-i)/c_i`` for every direction member
-    whose projection meets the set; the left side loses ``lam * w(b_-i)``
-    times the weight of the set's fiber above the cut.  Sets whose fibers are
-    full above the cut lose equally on both sides and never bind.
+    Only the direction's fibers at or above their cuts move: each such point
+    takes ``-lam * w(b_-i) * w(t)`` (the left side drops), and the fiber's top
+    point, which an upset holds exactly when it meets the fiber's projection,
+    also takes the right side's ``lam * w(b_-i)/c_i``.  An upset's rate is the
+    sum of its members' terms; it is zero for every chain set, whose fibers
+    above the cut are full and telescope to ``1/c_i``.
     """
     grid = state.grid
-    proj = project(upset, d.i)
-    gain = Fraction(0)
+    shares: dict[Point, Fraction] = {}
     for others in d.members:
-        w_o = weight_others(grid, others)
+        w_o = state.lam * weight_others(grid, others)
         cl = d.cut[others]
-        if others in proj:
-            gain += w_o / grid.level_value(cl)
-        fiber = Fraction(0)
         for t in range(cl, grid.num_levels):
-            if _insert_at(others, d.i, t) in upset:
-                fiber += weight_level(grid, t)
-        gain -= w_o * fiber
-    return state.lam * gain
+            shares[_insert_at(others, d.i, t)] = -w_o * weight_level(grid, t)
+        shares[_insert_at(others, d.i, grid.top)] += w_o / grid.level_value(cl)
+    return shares
 
 
 def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
     """Largest admissible eps and the boundary events that stop it.
 
-    If an already-tight set outside the chain would lose slack, eps is zero
-    and the set is folded into the chain before any real motion.
+    A set binds when its slack shrinks (positive rate); an already-tight one
+    binds at eps zero and is folded into the chain before any real motion.
     """
     grid = state.grid
     lam = state.lam
@@ -212,22 +210,13 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
             bound_g = val
     assert bound_f is not None and bound_g is not None
 
-    stuck: list[Upset] = []
     binding: list[tuple[Fraction, Upset]] = []
+    rates = rate_shares(state, d)
     shares = slack_shares(state)
     for upset in state.upsets:
-        if not upset.points:
-            continue
-        slack = eq_slack(state, upset, shares)
-        rate = _slack_rate(state, upset, d)
-        if slack == 0:
-            if rate > 0 and upset not in state.chain:
-                stuck.append(upset)
-        elif rate > 0:
-            binding.append((slack / rate, upset))
-
-    if stuck:
-        return StepOutcome(Fraction(0), [], [], stuck, StepEvent.NEW_TIGHT)
+        rate = sum((r for p, r in rates.items() if p in upset.points), Fraction(0))
+        if rate > 0:
+            binding.append((eq_slack(state, upset, shares) / rate, upset))
 
     eps = min([bound_f, bound_g] + [e for e, _ in binding])
     f_hits = sorted(
@@ -305,22 +294,28 @@ def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
         raise SynthesisInvariantError("tight-set event produced no chain growth")
 
 
+def check_synthesis_size(grid: BidGrid) -> None:
+    """Reject a grid whose upsets are too many to list, before any cut runs."""
+    check_size(grid.num_levels, grid.n, DEFAULT_POINT_CAP, "synthesis")
+
+
 def synthesize(
     table: BenchmarkTable,
     lam: Fraction,
     observer: "TraceRecorder | None" = None,
-    point_cap: int = DEFAULT_POINT_CAP,
     max_steps: int = DEFAULT_STEP_CAP,
     validate_steps: bool = False,
 ) -> RevenueTables:
     """Build revenue tables solving the system at ratio ``lam``.
 
-    Raises :class:`NotAttainableError` when the benchmark fails the
-    attainability condition.  ``validate_steps`` re-checks every invariant
-    after every step (meant for tests on tiny grids).
+    Raises :class:`DomainTooLargeError` past ``DEFAULT_POINT_CAP`` points and
+    :class:`NotAttainableError` when the benchmark fails the attainability
+    condition.  ``validate_steps`` re-checks every invariant after every step
+    (meant for tests on tiny grids).
     """
     lam = Fraction(lam)
     grid = table.grid
+    check_synthesis_size(grid)
     verdict = check_attainable(table, lam)
     if not verdict.attainable:
         raise NotAttainableError(
@@ -340,7 +335,7 @@ def synthesize(
             for _ in range(grid.n)
         ],
         chain=[],
-        upsets=enumerate_upsets(grid, point_cap),
+        upsets=enumerate_upsets(grid),
     )
     support = support_upset(state)
     state.chain = [support, Upset.empty(grid)]

@@ -219,6 +219,22 @@ def test_cut_agrees_with_enumeration(rng):
                 assert lhs - lam * rhs == worst > 0
 
 
+def test_cut_is_exact_past_the_float_range(rng):
+    # a fine ladder scales the integer capacities far beyond 1e308, where a
+    # floating-point infinity could no longer absorb a push
+    grid = BidGrid(Fraction(1, 10**40), 4, 2)
+    for _ in range(4):
+        table = random_monotone_table(grid, rng, nonzero=True)
+        ratio = optimal_ratio(table).ratio
+        assert ratio == max(
+            lhs / rhs
+            for lhs, rhs in (condition_sides(table, s) for s in enumerate_upsets(grid))
+            if rhs
+        )
+        assert check_attainable(table, ratio).attainable
+        assert not check_attainable(table, ratio * Fraction(63, 64)).attainable
+
+
 def test_cut_size_bound():
     side = 33  # 33 * 33 = 1089 points
     assert side * side > CUT_POINT_CAP

@@ -17,7 +17,7 @@ from compauction.benchmarks import (
     maxv,
     validate_table,
 )
-from compauction.grid import BidGrid
+from compauction.grid import BidGrid, DomainTooLargeError
 from tests.conftest import random_monotone_table, small_grids, two_tier_table
 
 G22 = BidGrid(Fraction(1), 2, 2)
@@ -192,6 +192,19 @@ def test_limited_supply_invalid_k():
     for bad in (1, 3, 0):
         with pytest.raises(ValueError):
             limited_supply_bounds(table, bad)
+
+
+def test_limited_supply_counts_arrangements_first(monkeypatch):
+    import itertools
+
+    # each padded vector stands for its own single arrangement, so the sizes
+    # the guard admits run instantly and the ones it rejects never start
+    monkeypatch.setattr(itertools, "permutations", lambda v: [v])
+    table = builtin_table(BidGrid(Fraction(1), 2, 9), "f2")
+    upper, _ = limited_supply_bounds(table, 2)  # 2^2 * 9! arrangements
+    assert upper.grid.n == 2
+    with pytest.raises(DomainTooLargeError, match="arrangement cap"):
+        limited_supply_bounds(table, 3)  # 2^3 * 9!
 
 
 def test_fix_lowest_coordinate_identity():

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from compauction import serialize
+from compauction import cli, serialize
 from compauction.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -334,16 +334,18 @@ def test_bad_input_never_exits_one(capsys, tmp_path):
 
 def test_oversized_grids_are_rejected_before_tabulation(capsys, tmp_path, monkeypatch):
     bench = tmp_path / "huge.json"
-    # past the cut's bound but within the document bound: still an input error
-    bench.write_text(serialize.dumps(
-        {"grid": {"delta": "1", "levels": 33, "n": 2}, "kind": "f2"}))
-    code, _, err = run(capsys, "optimal", str(bench))
-    assert code == 2 and "cut cap" in err
 
     def tabulate(grid, kind):
         raise AssertionError("an oversized grid reached the tabulation")
 
     monkeypatch.setattr(serialize, "builtin_table", tabulate)
+    # past the cut's bound but within the document bound: still an input error
+    for levels, n in ((33, 2), (2, 16)):
+        bench.write_text(serialize.dumps(
+            {"grid": {"delta": "1", "levels": levels, "n": n}, "kind": "f2"}))
+        for command in (("optimal", str(bench)), ("check", str(bench), "2")):
+            code, _, err = run(capsys, *command)
+            assert code == 2 and "cut cap" in err and "Traceback" not in err
     for levels, n in ((10**6, 10**9), (2, 17), (257, 2), (1, 10**12)):
         bench.write_text(serialize.dumps(
             {"grid": {"delta": "1", "levels": levels, "n": n}, "kind": "f2"}))
@@ -373,3 +375,93 @@ def test_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
     )
     code, _, err = run(capsys, "optimal", TWO_TIER, "--method", "both")
     assert code == 3 and "internal error" in err
+
+
+def _one_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_synthesize_checks_its_size_before_any_cut(capsys, tmp_path, monkeypatch):
+    from compauction import attainability, synthesis
+
+    def no_cut(*args):
+        raise AssertionError("a cut ran before the size check")
+
+    monkeypatch.setattr(attainability, "optimal_ratio", no_cut)
+    monkeypatch.setattr(attainability, "check_attainable", no_cut)
+    monkeypatch.setattr(synthesis, "check_attainable", no_cut)
+    bench = tmp_path / "f2.json"
+    for levels in (5, 32, 64):
+        bench.write_text(serialize.dumps(
+            {"grid": {"delta": "1", "levels": levels, "n": 2}, "kind": "f2"}))
+        for ratio in ((), ("2",)):
+            code, out, err = run(capsys, "synthesize", str(bench), *ratio,
+                                 "--output", str(tmp_path / "auction.json"))
+            assert code == 2 and out == "" and _one_error_line(err)
+            assert "synthesis cap of 16" in err
+
+
+def test_ratios_and_simulate_sizes_are_bounded(capsys, monkeypatch):
+    from compauction import ratios
+
+    sampled, summed = [], []
+    monkeypatch.setattr(ratios, "mc_expected",
+                        lambda *args, **kw: sampled.append(args) or (1.0, 0.0))
+    monkeypatch.setattr(ratios, "lambda_n", lambda n: summed.append(n) or Fraction(2))
+    monkeypatch.setattr(ratios, "gamma_n", lambda n: Fraction(1))
+
+    code, _, _ = run(capsys, "ratios", "--max-n", str(cli.MAX_BIDDERS))
+    assert code == 0 and summed[-1] == cli.MAX_BIDDERS
+    summed.clear()
+    code, out, err = run(capsys, "ratios", "--max-n", str(cli.MAX_BIDDERS + 1))
+    assert code == 2 and out == "" and _one_error_line(err) and not summed
+
+    def simulate(n, samples, blocks=50):
+        return run(capsys, "simulate", "--benchmark", "f2", "--n", str(n),
+                   "--samples", str(samples), "--blocks", str(blocks))
+
+    # the README, the tests and the benchmark runs, and the largest accepted
+    for n, samples, blocks in ((3, 10**6, 50), (5, 10**6, 50), (2, 20000, 20),
+                               (5, cli.MAX_DRAWS // 5, 50)):
+        code, _, _ = simulate(n, samples, blocks)
+        assert code == 0 and sampled[-1][1:4] == (n, samples, blocks)
+    sampled.clear()
+    for n, samples, blocks in ((cli.MAX_BIDDERS + 1, 1000, 10),
+                               (2, 10**5, cli.MAX_BLOCKS + 1),
+                               (2, cli.MAX_DRAWS // 2 + 1, cli.MAX_BLOCKS),
+                               (2, 10**7, 1),
+                               (2, 10**40, 50)):
+        code, out, err = simulate(n, samples, blocks)
+        assert code == 2 and out == "" and _one_error_line(err)
+    assert not sampled
+
+
+def test_reduce_counts_its_arrangements_before_any_work(capsys, tmp_path, monkeypatch):
+    import itertools
+
+    def refuse(*args):
+        raise AssertionError("an oversized reduction started")
+
+    monkeypatch.setattr(serialize, "builtin_table", refuse)
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    bench = tmp_path / "many.json"
+    for n, k in ((10, 2), (9, 3), (16, 8)):
+        bench.write_text(serialize.dumps(
+            {"grid": {"delta": "1", "levels": 2, "n": n}, "kind": "f2"}))
+        code, out, err = run(capsys, "reduce", str(bench), "-k", str(k))
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "arrangement cap" in err
+
+
+def test_fine_ladders_are_rejected_before_tabulation(capsys, tmp_path, monkeypatch):
+    def tabulate(grid, kind):
+        raise AssertionError("an oversized ladder reached the tabulation")
+
+    monkeypatch.setattr(serialize, "builtin_table", tabulate)
+    bench = tmp_path / "fine.json"
+    for delta, levels in (("1e-4000", 32), ("1e-40", 32), ("1/1000", 256)):
+        bench.write_text(serialize.dumps(
+            {"grid": {"delta": delta, "levels": levels, "n": 2}, "kind": "f2"}))
+        code, out, err = run(capsys, "check", str(bench), "2")
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "ladder cap" in err

@@ -36,6 +36,17 @@ def test_grid_round_trip():
         serialize.grid_from_doc({"delta": "1", "levels": True, "n": 2})
 
 
+def test_grid_ladder_bound():
+    # the finest ladders in use fit; finer ones would make every value huge
+    for delta, levels in (("1/16", 129), ("1/10", 121), ("1", 256)):
+        grid = serialize.grid_from_doc({"delta": delta, "levels": levels, "n": 2})
+        assert grid.num_levels == levels
+    assert serialize.grid_from_doc({"delta": "1e4000", "levels": 1, "n": 2})
+    for delta, levels in (("1e-4000", 2), ("1e-40", 32), ("1/1000", 256)):
+        with pytest.raises(FormatError, match="ladder cap"):
+            serialize.grid_from_doc({"delta": delta, "levels": levels, "n": 2})
+
+
 def test_table_round_trip_custom_and_builtin():
     table = two_tier_table()
     doc = serialize.table_to_doc(table)

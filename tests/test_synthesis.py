@@ -6,16 +6,20 @@ from pathlib import Path
 
 import pytest
 
+from compauction import synthesis
 from compauction.attainability import optimal_ratio
 from compauction.auctions import competitive_ratio, expected_revenue
-from compauction.benchmarks import BenchmarkTable
-from compauction.grid import BidGrid
+from compauction.benchmarks import BenchmarkTable, builtin_table
+from compauction.grid import BidGrid, DomainTooLargeError
 from compauction.synthesis import (
     IterationLimitError,
     NotAttainableError,
     RevenueTables,
     StepEvent,
     TraceRecorder,
+    eq_slack,
+    rate_shares,
+    slack_shares,
     synthesize,
     verify_ls2,
     x_to_z,
@@ -167,6 +171,47 @@ def test_two_tier_trace_is_stable():
     synthesize(two_tier_table(), Fraction(1), observer=recorder)
     golden = (DATA / "two_tier_trace.txt").read_text(encoding="utf-8")
     assert recorder.text() == golden
+
+
+@pytest.mark.parametrize("grid", small_grids(), ids=str)
+def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
+    """Each step moves every upset's slack by eps times its summed rate shares."""
+    apply_step = synthesis.apply_step
+    moved = []
+
+    def rate(rates, upset):
+        return sum((rates.get(p, 0) for p in upset.points), Fraction(0))
+
+    def checked_step(state, d, eps):
+        rates = rate_shares(state, d)
+        assert all(rate(rates, s) == 0 for s in state.chain)
+        before = slack_shares(state)
+        apply_step(state, d, eps)
+        after = slack_shares(state)
+        for upset in state.upsets:
+            assert eq_slack(state, upset, after) == (
+                eq_slack(state, upset, before) - eps * rate(rates, upset)
+            )
+        moved.append(eps)
+
+    monkeypatch.setattr(synthesis, "apply_step", checked_step)
+    for _ in range(4):
+        table = random_monotone_table(grid, rng, nonzero=True)
+        lam = optimal_ratio(table).ratio
+        for target in (lam, lam * Fraction(5, 4)):
+            synthesize(table, target)
+    assert any(moved)
+
+
+def test_synthesis_checks_its_size_before_any_cut(monkeypatch):
+    def no_cut(table, lam):
+        raise AssertionError("a cut ran before the size check")
+
+    monkeypatch.setattr(synthesis, "check_attainable", no_cut)
+    for levels, n in ((5, 2), (32, 2), (2, 5)):
+        table = builtin_table(BidGrid(Fraction(1), levels, n), "f2")
+        with pytest.raises(DomainTooLargeError, match="synthesis cap of 16"):
+            synthesize(table, Fraction(2))
 
 
 def test_zero_benchmark_synthesizes_to_zero():
