@@ -76,14 +76,23 @@ class BenchmarkTable:
 
 
 def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
-    """Tabulate one of the built-in benchmarks at every grid point."""
+    """Tabulate one of the built-in benchmarks at every grid point.
+
+    The formulas are symmetric, so each runs once per sorted index vector.
+    """
     if which not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin benchmark {which!r}")
     if grid.n < 2:
         raise ValueError("built-in benchmarks need at least two bidders")
     formula = _FORMULAS[which]
     levels = grid.values()
-    values = {p: formula([levels[t] for t in p]) for p in grid.points()}
+    by_sorted: dict[Point, Fraction] = {}
+    values = {}
+    for p in grid.points():
+        key = tuple(sorted(p))
+        if key not in by_sorted:
+            by_sorted[key] = formula([levels[t] for t in key])
+        values[p] = by_sorted[key]
     return BenchmarkTable(grid, values, kind=which)
 
 
@@ -168,9 +177,9 @@ def limited_supply_bounds(
     source is bracketed by the extreme arrangements: the upper value is the
     maximum of the benchmark over permutations of the padded vector, the
     lower the minimum (for symmetric benchmarks both collapse to a single
-    lookup).  For built-in kinds the lower table evaluates the formula with
-    literal zeros appended; a custom table has no values below the grid, so
-    its bottom level stands in as the floor.
+    lookup, which built-in kinds take).  For built-in kinds the lower table
+    evaluates the formula with literal zeros appended; a custom table has no
+    values below the grid, so its bottom level stands in as the floor.
     """
     grid = table.grid
     check_supply(grid, k)
@@ -182,13 +191,14 @@ def limited_supply_bounds(
     for u in out_grid.points():
         s = _sorted_desc(u)
         raised = s + (s[-1],) * pad
-        upper[u] = max(
-            table[perm] for perm in set(itertools.permutations(raised))
-        )
         if table.kind in BUILTIN_KINDS:
+            upper[u] = table[raised]
             formula = _FORMULAS[table.kind]
             lower[u] = formula([levels[t] for t in s] + [Fraction(0)] * pad)
         else:
+            upper[u] = max(
+                table[perm] for perm in set(itertools.permutations(raised))
+            )
             dropped = s + (0,) * pad
             lower[u] = min(
                 table[perm] for perm in set(itertools.permutations(dropped))

@@ -127,12 +127,17 @@ def expected_maxv(n: int) -> Fraction:
     return n * Fraction(n, n - 1) ** (n - 1) - n
 
 
-def bids_from_uniform(u: np.ndarray | float) -> np.ndarray:
-    """Inverse CDF of the prior: ``u`` on (0, 1] maps to ``v = 1/u >= 1``."""
+def bids_from_uniform(
+    u: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse CDF of the prior: ``u`` on (0, 1] maps to ``v = 1/u >= 1``.
+
+    ``out=u`` maps a drawn buffer in place.  NaN is outside (0, 1] too.
+    """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0) or np.any(arr > 1):
+    if not (arr.min(initial=1.0) > 0 and arr.max(initial=1.0) <= 1):
         raise ValueError("uniform draws must lie in (0, 1]")
-    return 1.0 / arr
+    return np.divide(1.0, arr, out=out)
 
 
 @dataclass
@@ -149,8 +154,9 @@ class EqualRevenueSampler:
 
     def sample(self, size: int) -> np.ndarray:
         """``size`` bid vectors as a ``(size, n)`` array of floats >= 1."""
-        u = 1.0 - self._rng.random((size, self.n))  # uniform on (0, 1]
-        return bids_from_uniform(u)
+        u = self._rng.random((size, self.n))
+        np.subtract(1.0, u, out=u)  # uniform on (0, 1]
+        return bids_from_uniform(u, out=u)
 
 
 def sample_bids(sampler: EqualRevenueSampler) -> np.ndarray:
@@ -158,18 +164,32 @@ def sample_bids(sampler: EqualRevenueSampler) -> np.ndarray:
     return sampler.sample(1)[0]
 
 
+def _max_scaled_bid(bids: np.ndarray, top: int) -> np.ndarray:
+    """Row maxima of ``(top - j) * s_j``, ``j < n-1``, ``s`` the row sorted ascending.
+
+    Exact float products and maxima, so the reduction order keeps the bits.
+    ``np.max(axis=1)`` is slow on short rows and wide columns are strided, so
+    all but the last 8 columns (a 64-byte line) go row by row, those by column.
+    """
+    ordered = np.sort(bids, axis=1)
+    width = ordered.shape[1] - 1
+    scaled = ordered[:, :width]
+    scaled *= np.arange(top, top - width, -1)
+    split = max(0, width - 8)
+    best = np.max(scaled[:, :split], axis=1, initial=-np.inf)
+    for j in range(split, width):
+        np.maximum(best, scaled[:, j], out=best)
+    return best
+
+
 def f2_statistic(bids: np.ndarray) -> np.ndarray:
-    """Vectorized fixed-price benchmark over rows of a (m, n) bid array."""
-    ordered = -np.sort(-bids, axis=1)
-    ks = np.arange(2, bids.shape[1] + 1)
-    return np.max(ordered[:, 1:] * ks, axis=1)
+    """Fixed-price benchmark ``max k * b_(k)``, k >= 2, of each row sorted ascending."""
+    return _max_scaled_bid(bids, bids.shape[1])
 
 
 def maxv_statistic(bids: np.ndarray) -> np.ndarray:
-    """Vectorized Vickrey benchmark over rows of a (m, n) bid array."""
-    ordered = -np.sort(-bids, axis=1)
-    ks = np.arange(1, bids.shape[1])
-    return np.max(ordered[:, 1:] * ks, axis=1)
+    """Vickrey benchmark ``max k * b_(k+1)``, k < n, of each row sorted ascending."""
+    return _max_scaled_bid(bids, bids.shape[1] - 1)
 
 
 def mc_expected(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compauction import benchmarks
 from compauction.benchmarks import (
     BenchmarkTable,
     builtin_table,
@@ -70,6 +71,39 @@ def test_builtin_tables_monotone_and_symmetric(grid, kind):
     assert ok and witness is None
     assert check_symmetric(table)
     validate_table(table)
+
+
+def test_builtin_table_runs_the_formula_once_per_sorted_vector(monkeypatch):
+    calls = []
+
+    def counted(formula):
+        def wrapped(values):
+            calls.append(tuple(values))
+            return formula(values)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        benchmarks, "_FORMULAS", {k: counted(f) for k, f in benchmarks._FORMULAS.items()}
+    )
+    # C(levels + n - 1, n) sorted vectors: 17 on 2 levels x 16, 20 on 4 x 3
+    for levels, n, expected in ((2, 16, 17), (4, 3, 20)):
+        calls.clear()
+        builtin_table(BidGrid(Fraction(1), levels, n), "f2")
+        assert len(calls) == len(set(calls)) == expected
+
+
+@pytest.mark.parametrize("kind", ["f2", "maxv"])
+@pytest.mark.parametrize(
+    "grid", [BidGrid(Fraction(1), 4, 3), BidGrid(Fraction(1, 3), 3, 5)], ids=str
+)
+def test_builtin_table_equals_the_formula_everywhere(grid, kind):
+    formula = {"f2": f2, "maxv": maxv}[kind]
+    levels = grid.values()
+    table = builtin_table(grid, kind)
+    assert list(table.values) == list(grid.points())
+    for p in grid.points():
+        assert table[p] == formula([levels[t] for t in p])
 
 
 def test_check_monotone_witness():
@@ -184,6 +218,22 @@ def test_limited_supply_builtin_drops_to_zero():
     for u in lower.grid.points():
         expected = 2 * min(levels[t] for t in u)
         assert lower[u] == expected
+
+
+@pytest.mark.parametrize("kind", ["f2", "maxv"])
+def test_limited_supply_builtin_lookup_matches_the_permutation_route(kind):
+    # 9 bidders at k = 2: the custom route scans 9! arrangements per point
+    table = builtin_table(BidGrid(Fraction(1), 2, 9), kind)
+    upper, lower = limited_supply_bounds(table, 2)
+    as_custom = BenchmarkTable(table.grid, table.values, kind="custom")
+    custom_upper, _ = limited_supply_bounds(as_custom, 2)
+    assert dict(upper.values) == dict(custom_upper.values)
+    # the built-in lower table appends literal zeros, which no custom table
+    # holds, so only the top two bids count: 2*min for f2, min for maxv
+    levels = table.grid.values()
+    scale = 2 if kind == "f2" else 1
+    for u in lower.grid.points():
+        assert lower[u] == scale * min(levels[t] for t in u)
 
 
 def test_limited_supply_invalid_k():

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, documents, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -178,6 +179,32 @@ def test_simulate_command(capsys):
     code, _, _ = run(capsys, "simulate", "--benchmark", "f2", "--n", "2",
                      "--samples", "0")
     assert code == 2
+
+
+# sha256 of ``simulate --samples 3000 --blocks 10 --seed 20141`` stdout, with
+# the estimate and its error spelled out so a change shows which one moved.
+SIMULATE_PINS = {
+    ("f2", 2): ("52542e2d06ec384f", 3.9568712339685153, 0.08678270548678309),
+    ("f2", 3): ("ac063d62d6634cd2", 6.170461125515014, 0.07265817707368424),
+    ("f2", 5): ("0df855aaf8c0c8b8", 11.377195787115479, 0.3517598866685941),
+    ("f2", 16): ("466fa7754a6ffd1b", 37.493973674370864, 0.6911876921896069),
+    ("f2", 256): ("4b48e73d6c71806b", 622.960201003744, 11.673449190054262),
+    ("maxv", 2): ("3b9a4e29cac2b5c2", 1.9784356169842576, 0.043391352743391544),
+    ("maxv", 3): ("8155a3cbb410198c", 3.5956749038845586, 0.04158108757999997),
+    ("maxv", 5): ("06e55cd45d889c04", 7.1301442486295965, 0.15953173098809525),
+    ("maxv", 16): ("52ca3736b1414a58", 25.602062486109098, 0.42310336745699056),
+    ("maxv", 256): ("fa2f662d1f755f66", 437.4368306846866, 6.529455976588849),
+}
+
+
+def test_simulate_stdout_is_pinned(capsys):
+    for (kind, n), (digest, estimate, error) in SIMULATE_PINS.items():
+        code, out, _ = run(capsys, "simulate", "--benchmark", kind, "--n", str(n),
+                           "--samples", "3000", "--blocks", "10", "--seed", "20141")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["estimate"], doc["error"]) == (estimate, error), (kind, n)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (kind, n)
 
 
 def test_reduce_command(capsys, tmp_path):

@@ -160,6 +160,30 @@ def test_statistics_match_formulas():
     assert list(maxv_statistic(bids)) == [4.0, float(maxv([4, 2, 1])), 2.0]
 
 
+def _reference_statistics(row):
+    """f2 and maxv of one row, from its bids sorted in descending order."""
+    ordered = sorted(row, reverse=True)
+    n = len(ordered)
+    return (
+        max(k * ordered[k - 1] for k in range(2, n + 1)),
+        max(k * ordered[k] for k in range(1, n)),
+    )
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + [256])
+def test_statistics_equal_a_per_row_reference(n):
+    # values from a small set, so rows carry ties; products and maxima are
+    # exact float operations, so the vectorized rows must match bit for bit
+    rng = np.random.default_rng(n)
+    bids = rng.choice([1.0, 1.25, 2.0, 3.5, 1 / 0.3], size=(60, n))
+    bids[::7] = 2.0  # rows of one repeated value
+    before = bids.copy()
+    expected = [_reference_statistics(row) for row in bids.tolist()]
+    assert f2_statistic(bids).tolist() == [f for f, _ in expected]
+    assert maxv_statistic(bids).tolist() == [v for _, v in expected]
+    assert np.array_equal(bids, before)
+
+
 def test_mc_expected_constant_statistic():
     est, err = mc_expected(lambda b: np.full(len(b), 7.25), 2, 1000, 10, seed=3)
     assert est == 7.25 and err == 0.0
