@@ -39,6 +39,7 @@ BIDDERS = (2, 3, 5, 8, 16, 32, 128, 256)
 STATISTICS = {"f2": f2_statistic, "maxv": maxv_statistic}
 MC_SAMPLES, MC_BLOCKS = 10**6, 50
 TABLE_GRIDS = ((Fraction(1, 10), 121, 2), (Fraction(1, 16), 129, 2), (Fraction(1), 2, 16))
+BLOCK_REPEATS = 41  # runs of each statistic, each on a fresh block
 SLOW_REPEATS = 3  # runs of each mc_expected and builtin_table call
 
 
@@ -56,8 +57,6 @@ def timed(fn, repeats: int, prepare=lambda: ()) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_expectations.json")
-    parser.add_argument("--repeats", type=int, default=41,
-                        help="runs per statistic block")
     args = parser.parse_args()
 
     blocks = []
@@ -68,7 +67,7 @@ def main() -> None:
             # a fresh block per run, as in mc_expected
             draw = lambda: (sampler.sample(rows),)
             blocks.append({"stat": name, "n": n, "rows": rows,
-                           **timed(stat, args.repeats, draw)})
+                           **timed(stat, BLOCK_REPEATS, draw)})
             print(f"# block {name} n={n}: {blocks[-1]['median_s'] * 1e3:.2f} ms",
                   flush=True)
 
@@ -99,7 +98,7 @@ def main() -> None:
             "numpy": np.__version__,
             "platform": platform.platform(),
         },
-        "repeats": {"statistic_block": args.repeats, "other": SLOW_REPEATS},
+        "repeats": {"statistic_block": BLOCK_REPEATS, "other": SLOW_REPEATS},
         "statistic_block": blocks,
         "mc_expected": mc,
         "builtin_table": tables,

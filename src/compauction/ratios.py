@@ -171,6 +171,8 @@ def _max_scaled_bid(bids: np.ndarray, top: int) -> np.ndarray:
     ``np.max(axis=1)`` is slow on short rows and wide columns are strided, so
     all but the last 8 columns (a 64-byte line) go row by row, those by column.
     """
+    if bids.shape[1] < 2:
+        raise ValueError("need at least two bidders")
     ordered = np.sort(bids, axis=1)
     width = ordered.shape[1] - 1
     scaled = ordered[:, :width]

@@ -222,8 +222,8 @@ def test_limited_supply_builtin_drops_to_zero():
 
 @pytest.mark.parametrize("kind", ["f2", "maxv"])
 def test_limited_supply_builtin_lookup_matches_the_permutation_route(kind):
-    # 9 bidders at k = 2: the custom route scans 9! arrangements per point
-    table = builtin_table(BidGrid(Fraction(1), 2, 9), kind)
+    # 6 bidders at k = 2: the custom route scans 6! arrangements per point
+    table = builtin_table(BidGrid(Fraction(1), 3, 6), kind)
     upper, lower = limited_supply_bounds(table, 2)
     as_custom = BenchmarkTable(table.grid, table.values, kind="custom")
     custom_upper, _ = limited_supply_bounds(as_custom, 2)

@@ -184,6 +184,14 @@ def test_statistics_equal_a_per_row_reference(n):
     assert np.array_equal(bids, before)
 
 
+@pytest.mark.parametrize("stat", [f2_statistic, maxv_statistic])
+def test_statistics_need_two_bidders(stat):
+    with pytest.raises(ValueError):
+        stat(np.full((4, 1), 2.0))
+    with pytest.raises(ValueError):
+        mc_expected(stat, 1, 100, 10)
+
+
 def test_mc_expected_constant_statistic():
     est, err = mc_expected(lambda b: np.full(len(b), 7.25), 2, 1000, 10, seed=3)
     assert est == 7.25 and err == 0.0
