@@ -5,7 +5,9 @@ Three layers are timed, each as the median (and minimum) of several runs:
 
 * ``f2_statistic`` and ``maxv_statistic`` on one block of
   ``min(20000, 2**22 // n)`` equal-revenue rows, freshly drawn before each
-  run as ``mc_expected`` draws them, for n in 2..256;
+  run as ``mc_expected`` draws them, for n in 2..256: the 2..5 of the
+  ``expectations`` workload in ``perfbench/``, and 24 and 25 on either side
+  of the widest row ``ratios`` sorts by its comparator network;
 * ``mc_expected`` with 10^6 samples in 50 blocks, for the same n;
 * ``builtin_table`` for f2 and maxv on 121x2 (delta 1/10), 129x2
   (delta 1/16) and 2x16 (delta 1).
@@ -35,7 +37,7 @@ from compauction.ratios import (
     mc_expected,
 )
 
-BIDDERS = (2, 3, 5, 8, 16, 32, 128, 256)
+BIDDERS = (2, 3, 4, 5, 8, 12, 16, 24, 25, 32, 64, 128, 256)
 STATISTICS = {"f2": f2_statistic, "maxv": maxv_statistic}
 MC_SAMPLES, MC_BLOCKS = 10**6, 50
 TABLE_GRIDS = ((Fraction(1, 10), 121, 2), (Fraction(1, 16), 129, 2), (Fraction(1), 2, 16))

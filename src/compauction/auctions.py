@@ -96,22 +96,36 @@ def check_profile_valid(
 ) -> tuple[bool, tuple[int, Point] | None]:
     """Probability sanity: entries in [0, 1], row sums at most 1.
 
-    Returns ``(False, (bidder, others))`` for the first offending offer row.
+    Returns ``(False, (bidder, others))`` for the first offending offer row
+    in grid order (bidders in turn, each one's rows lexicographically).  Only
+    stored rows are visited, since an absent row is empty and valid; stored
+    rows keyed off the grid are ignored.
     """
     grid = profile.grid
     if len(profile.z) != grid.n:
         return False, None
-    for i in range(grid.n):
-        for others in grid.others_points():
-            row = profile.offer_row(i, others)
-            total = Fraction(0)
-            for level, prob in row.items():
-                if not 0 <= level <= grid.top or prob < 0 or prob > 1:
-                    return False, (i, others)
-                total += prob
-            if total > 1:
-                return False, (i, others)
+    levels = range(grid.num_levels)
+    for i, rows in enumerate(profile.z):
+        bad = [
+            others
+            for others, row in rows.items()
+            if isinstance(others, tuple)
+            and len(others) == grid.n - 1
+            and all(t in levels for t in others)
+            and not _row_valid(row, grid.top)
+        ]
+        if bad:
+            return False, (i, min(bad))
     return True, None
+
+
+def _row_valid(row: dict[int, Fraction], top: int) -> bool:
+    total = Fraction(0)
+    for level, prob in row.items():
+        if not 0 <= level <= top or prob < 0 or prob > 1:
+            return False
+        total += prob
+    return total <= 1
 
 
 def _level_of(delta: Fraction, value: Fraction) -> int:

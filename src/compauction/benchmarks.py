@@ -22,8 +22,9 @@ from compauction.grid import BidGrid, DomainTooLargeError, Point, covers
 
 BUILTIN_KINDS = ("f2", "maxv")
 
-# Most bid arrangements ``limited_supply_bounds`` may expand (n! per output
-# point); 9 bidders on two levels at k = 2 make 1.45 * 10^6 and take 0.4 s.
+# Most table reads ``limited_supply_bounds`` may make: one per output point
+# for a built-in kind, n! arrangements per point for a custom table; 9
+# bidders on two levels at k = 2 make 1.45 * 10^6 and take 0.4 s.
 MAX_ARRANGEMENTS = 2 * 10**6
 
 RationalLike = Fraction | int
@@ -143,23 +144,28 @@ def _sorted_desc(point: Point) -> tuple[int, ...]:
     return tuple(sorted(point, reverse=True))
 
 
-def check_supply(grid: BidGrid, k: int) -> None:
+def check_supply(grid: BidGrid, k: int, kind: str) -> None:
     """Reject a supply ``k`` outside ``[2, n)`` or past ``MAX_ARRANGEMENTS``.
 
-    ``limited_supply_bounds`` expands the ``n!`` arrangements of a padded bid
-    vector at each of the ``levels^k`` output points; the count is checked
-    factor by factor, so a large ``n`` stops early.
+    ``limited_supply_bounds`` makes one lookup at each of the ``levels^k``
+    output points of a built-in ``kind``, and expands the ``n!``
+    arrangements of a padded bid vector at each point of any other table;
+    ``n!`` is multiplied in factor by factor, so a large ``n`` stops early.
     """
     if not 2 <= k < grid.n:
         raise ValueError(f"supply k must satisfy 2 <= k < {grid.n}, got {k}")
-    arrangements = grid.num_levels**k
-    for m in range(2, grid.n + 1):
-        arrangements *= m
-        if arrangements > MAX_ARRANGEMENTS:
-            raise DomainTooLargeError(
-                f"{grid.num_levels}^{k} points times {grid.n}! arrangements "
-                f"are above the arrangement cap of {MAX_ARRANGEMENTS}"
-            )
+    count, per_point = grid.num_levels**k, ""
+    if kind not in BUILTIN_KINDS:
+        per_point = f" times {grid.n}! arrangements"
+        for m in range(2, grid.n + 1):
+            count *= m
+            if count > MAX_ARRANGEMENTS:
+                break
+    if count > MAX_ARRANGEMENTS:
+        raise DomainTooLargeError(
+            f"{grid.num_levels}^{k} points{per_point} "
+            f"are above the arrangement cap of {MAX_ARRANGEMENTS}"
+        )
 
 
 def limited_supply_bounds(
@@ -182,7 +188,7 @@ def limited_supply_bounds(
     values below the grid, so its bottom level stands in as the floor.
     """
     grid = table.grid
-    check_supply(grid, k)
+    check_supply(grid, k, table.kind)
     out_grid = BidGrid(grid.delta, grid.num_levels, k)
     levels = grid.values()
     pad = grid.n - k

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -97,6 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process (1-2 ms a build)."""
+    return build_parser()
+
+
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -108,16 +115,18 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
-def _load_table(path: str, check: Callable[[BidGrid], None]) -> BenchmarkTable:
-    """Read a benchmark document; ``check`` sees its grid before tabulation."""
+def _load_table(path: str, check: Callable[[BidGrid, object], None]) -> BenchmarkTable:
+    """Read a benchmark document; ``check`` sees its grid and kind before tabulation."""
     doc = serialize.load_file(path)
     if isinstance(doc, dict) and isinstance(doc.get("grid"), dict):
-        check(serialize.grid_from_doc(doc["grid"]))
+        check(serialize.grid_from_doc(doc["grid"]), doc.get("kind"))
     return serialize.table_from_doc(doc)
 
 
 def _cmd_check(args) -> int:
-    table = _load_table(args.benchmark, attainability.check_cut_size)
+    table = _load_table(
+        args.benchmark, lambda grid, _: attainability.check_cut_size(grid)
+    )
     lam = _parse_ratio(args.ratio)
     verdict = attainability.check_attainable(table, lam)
     sys.stdout.write(serialize.dumps(serialize.verdict_to_doc(verdict)))
@@ -125,7 +134,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    table = _load_table(args.benchmark, attainability.check_cut_size)
+    table = _load_table(
+        args.benchmark, lambda grid, _: attainability.check_cut_size(grid)
+    )
     if args.method == "lp":
         ratio, witness = attainability.optimal_ratio_lp(table), None
     else:
@@ -147,7 +158,9 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    table = _load_table(args.benchmark, synthesis.check_synthesis_size)
+    table = _load_table(
+        args.benchmark, lambda grid, _: synthesis.check_synthesis_size(grid)
+    )
     if args.ratio is None:
         lam = attainability.optimal_ratio(table).ratio
     else:
@@ -241,7 +254,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     try:
-        table = _load_table(args.benchmark, lambda g: check_supply(g, args.supply))
+        table = _load_table(
+            args.benchmark, lambda grid, kind: check_supply(grid, args.supply, kind)
+        )
         upper, lower = limited_supply_bounds(table, args.supply)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
@@ -271,9 +286,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -72,7 +72,12 @@ class BidGrid:
         """Bid value ``(1+delta)^t`` at level index ``t``."""
         if not 0 <= t <= self.top:
             raise ValueError(f"level index {t} outside [0, {self.top}]")
-        return (1 + self.delta) ** t
+        return self.ladder[t]
+
+    @functools.cached_property
+    def ladder(self) -> tuple[Fraction, ...]:
+        """Every level value ``(1+delta)^t``, computed once per grid."""
+        return tuple((1 + self.delta) ** t for t in range(self.num_levels))
 
     @functools.cached_property
     def level_weights(self) -> tuple[Fraction, ...]:
@@ -99,7 +104,7 @@ class BidGrid:
         return weights
 
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(self.level_value(t) for t in range(self.num_levels))
+        return self.ladder
 
     def points(self) -> Iterator[Point]:
         """All bid vectors, lexicographically."""

@@ -15,7 +15,10 @@ maxima ``F_{n,k} = max_i (k+i-1) V_i``, which satisfies both a recursion and
 a closed form; keeping the two independent provides an identity test.  The
 module also carries a seeded sampler, a median-of-means estimator robust to
 the heavy upper tails, and exact rational benchmark expectations over
-discrete grids for refinement tests.
+discrete grids for refinement tests.  The sampled statistics sort short bid
+vectors with Batcher's merge-exchange network, one ``np.minimum`` and one
+``np.maximum`` over whole columns per comparator, and longer ones with
+``np.sort``.
 """
 
 from __future__ import annotations
@@ -164,15 +167,65 @@ def sample_bids(sampler: EqualRevenueSampler) -> np.ndarray:
     return sampler.sample(1)[0]
 
 
+@lru_cache(maxsize=None)
+def merge_exchange_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's merge-exchange sort of ``n`` keys as compare-exchange pairs.
+
+    Knuth, TAOCP vol. 3, 5.2.2, Algorithm M.  Applying each ``(i, j)`` in
+    order, with the smaller key to ``i`` and the larger to ``j``, sorts any
+    input ascending; the pairs within one pass of ``d`` are disjoint.
+    """
+    if n < 2:
+        return ()
+    pairs: list[tuple[int, int]] = []
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
+
+
+# Widest rows ``_max_scaled_bid`` sorts by the network.  Each comparator is
+# two passes over whole columns where ``np.sort(axis=1)`` pays per row.  On
+# 20,000-row blocks (2 cores, BENCH_expectations.json) the network took
+# 0.05-0.39 ms against the sort's 1.2-2.0 ms at n = 2..5, and 5.6-6.0 ms
+# against 6.6-6.9 ms at n = 24.  With the network forced on wider rows the
+# two tied within noise from 25 to 30, and the sort won from 32 on.
+NETWORK_MAX_BIDDERS = 24
+
+
 def _max_scaled_bid(bids: np.ndarray, top: int) -> np.ndarray:
     """Row maxima of ``(top - j) * s_j``, ``j < n-1``, ``s`` the row sorted ascending.
 
     Exact float products and maxima, so the reduction order keeps the bits.
-    ``np.max(axis=1)`` is slow on short rows and wide columns are strided, so
-    all but the last 8 columns (a 64-byte line) go row by row, those by column.
+    Up to ``NETWORK_MAX_BIDDERS`` bidders the columns are copied out and
+    sorted by ``merge_exchange_network``, each comparator one ``np.minimum``
+    and one ``np.maximum`` over whole columns; these only move values within
+    a row, so the sorted columns equal ``np.sort``'s.  Wider rows are sorted
+    row by row; ``np.max(axis=1)`` is slow on short rows and wide columns are
+    strided, so all but the last 8 columns (a 64-byte line) are reduced row
+    by row, those by column.
     """
-    if bids.shape[1] < 2:
+    n = bids.shape[1]
+    if n < 2:
         raise ValueError("need at least two bidders")
+    if n <= NETWORK_MAX_BIDDERS:
+        cols = list(bids.T.copy())  # one contiguous row per bidder
+        spare = np.empty_like(cols[0])
+        for i, j in merge_exchange_network(n):
+            np.minimum(cols[i], cols[j], out=spare)
+            np.maximum(cols[i], cols[j], out=cols[j])
+            cols[i], spare = spare, cols[i]
+        best = np.multiply(cols[0], top, out=cols[0])
+        for j in range(1, n - 1):
+            np.maximum(best, np.multiply(cols[j], top - j, out=cols[j]), out=best)
+        return best
     ordered = np.sort(bids, axis=1)
     width = ordered.shape[1] - 1
     scaled = ordered[:, :width]

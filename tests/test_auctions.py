@@ -79,6 +79,40 @@ def test_check_profile_valid():
     assert not ok and witness == (1, (1,))
 
 
+def _first_invalid_row_in_grid_order(profile):
+    """Reference: walk every offer row of the grid, stored or not."""
+    grid = profile.grid
+    for i in range(grid.n):
+        for others in grid.others_points():
+            row = profile.offer_row(i, others)
+            if any(not 0 <= t <= grid.top or not 0 <= p <= 1 for t, p in row.items()):
+                return False, (i, others)
+            if sum(row.values(), Fraction(0)) > 1:
+                return False, (i, others)
+    return True, None
+
+
+def test_check_profile_valid_matches_a_grid_order_walk(rng):
+    bad_rows = [{0: Fraction(3, 2)}, {1: Fraction(-1, 4)}, {5: Fraction(1, 4)},
+                {0: Fraction(2, 3), 2: Fraction(2, 3)}]
+    good_rows = [{}, {0: Fraction(1)}, {1: Fraction(1, 3), 2: Fraction(2, 3)}]
+    for grid in (BidGrid(Fraction(1), 3, 3), BidGrid(Fraction(1, 2), 2, 4)):
+        others = list(grid.others_points())
+        for _ in range(40):
+            z = [{} for _ in range(grid.n)]
+            for i in range(grid.n):
+                stored = rng.sample(others, rng.randint(0, len(others)))
+                for o in stored:  # insertion order is not grid order
+                    z[i][o] = dict(rng.choice(bad_rows if rng.random() < 0.2
+                                              else good_rows))
+                # invalid rows keyed off the grid are ignored
+                z[i][(grid.num_levels,) * (grid.n - 1)] = dict(bad_rows[0])
+                z[i][(0,) * grid.n] = dict(bad_rows[1])
+            profile = AuctionProfile(grid, z)
+            assert check_profile_valid(profile) == _first_invalid_row_in_grid_order(
+                profile)
+
+
 def test_argmin_tie_rule_takes_the_largest_index():
     vals = [Fraction(4), Fraction(2), Fraction(2)]
     assert _argmin_largest_index(vals) == 2

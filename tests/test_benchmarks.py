@@ -250,11 +250,31 @@ def test_limited_supply_counts_arrangements_first(monkeypatch):
     # each padded vector stands for its own single arrangement, so the sizes
     # the guard admits run instantly and the ones it rejects never start
     monkeypatch.setattr(itertools, "permutations", lambda v: [v])
-    table = builtin_table(BidGrid(Fraction(1), 2, 9), "f2")
+    grid = BidGrid(Fraction(1), 2, 9)
+    table = BenchmarkTable(grid, builtin_table(grid, "f2").values, kind="custom")
     upper, _ = limited_supply_bounds(table, 2)  # 2^2 * 9! arrangements
     assert upper.grid.n == 2
     with pytest.raises(DomainTooLargeError, match="arrangement cap"):
         limited_supply_bounds(table, 3)  # 2^3 * 9!
+
+
+def test_limited_supply_bounds_builtin_kinds_by_their_lookups(monkeypatch):
+    # at 10 bidders on two levels a custom table would expand 2^2 * 10!
+    # arrangements; a built-in one reads one padded vector per output point
+    grid = BidGrid(Fraction(1), 2, 10)
+    levels = grid.values()
+    for kind, formula in (("f2", f2), ("maxv", maxv)):
+        table = builtin_table(grid, kind)
+        upper, _ = limited_supply_bounds(table, 2)
+        for u in upper.grid.points():
+            raised = sorted(u, reverse=True) + [min(u)] * 8
+            assert upper[u] == formula([levels[t] for t in raised])
+        as_custom = BenchmarkTable(grid, table.values, kind="custom")
+        with pytest.raises(DomainTooLargeError, match="10! arrangements"):
+            limited_supply_bounds(as_custom, 2)
+    monkeypatch.setattr(benchmarks, "MAX_ARRANGEMENTS", 3)
+    with pytest.raises(DomainTooLargeError, match="2\\^2 points are above"):
+        limited_supply_bounds(builtin_table(grid, "f2"), 2)
 
 
 def test_fix_lowest_coordinate_identity():

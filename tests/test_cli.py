@@ -207,6 +207,34 @@ def test_simulate_stdout_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (kind, n)
 
 
+def test_the_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    calls = [
+        ("simulate", "--benchmark", "f2", "--n", "3", "--samples", "200",
+         "--blocks", "10", "--seed", "4"),
+        ("simulate", "--benchmark", "maxv", "--n", "2", "--samples", "100"),
+        ("ratios", "--max-n", "3"),
+        ("ratios",),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv)[:2])
+    assert all(code == 0 for code, _ in fresh)
+
+    def no_rebuild():
+        raise AssertionError("the parser was built again")
+
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    usage_errors = (("simulate", "--n", "x"), ("nosuch",), ("check",),
+                    ("optimal", F2_FILE, "--method", "nope"), ("ratios", "--max-n"))
+    for bad in usage_errors:
+        for argv, expected in zip(calls, fresh):
+            code, out, _ = run(capsys, *bad)
+            assert code == 2 and out == ""
+            assert run(capsys, *argv)[:2] == expected, (bad, argv)
+
+
 def test_reduce_command(capsys, tmp_path):
     grid_doc = {"delta": "1", "levels": 2, "n": 3}
     bench = tmp_path / "bench3.json"
@@ -466,18 +494,41 @@ def test_ratios_and_simulate_sizes_are_bounded(capsys, monkeypatch):
 def test_reduce_counts_its_arrangements_before_any_work(capsys, tmp_path, monkeypatch):
     import itertools
 
+    from compauction.benchmarks import BenchmarkTable, builtin_table
+    from compauction.grid import BidGrid
+
     def refuse(*args):
         raise AssertionError("an oversized reduction started")
 
-    monkeypatch.setattr(serialize, "builtin_table", refuse)
-    monkeypatch.setattr(itertools, "permutations", refuse)
     bench = tmp_path / "many.json"
-    for n, k in ((10, 2), (9, 3), (16, 8)):
-        bench.write_text(serialize.dumps(
-            {"grid": {"delta": "1", "levels": 2, "n": n}, "kind": "f2"}))
+    docs = {}
+    for n in (9, 10):
+        grid = BidGrid(Fraction(1), 2, n)
+        custom = BenchmarkTable(grid, builtin_table(grid, "f2").values, kind="custom")
+        docs[n] = serialize.dumps(serialize.table_to_doc(custom))
+    monkeypatch.setattr(serialize, "table_from_doc", refuse)
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    # a custom table expands n! arrangements at each of the 2^k points
+    for n, k in ((10, 2), (9, 3)):
+        bench.write_text(docs[n])
         code, out, err = run(capsys, "reduce", str(bench), "-k", str(k))
         assert code == 2 and out == "" and _one_error_line(err)
         assert "arrangement cap" in err
+
+
+def test_reduce_reads_builtin_kinds_once_per_point(capsys, tmp_path):
+    # 2^2 lookups, where a custom table of the same size is refused above
+    bench = tmp_path / "f2.json"
+    bench.write_text(serialize.dumps(
+        {"grid": {"delta": "1", "levels": 2, "n": 10}, "kind": "f2"}))
+    code, out, _ = run(capsys, "reduce", str(bench), "-k", "2")
+    assert code == 0
+    doc = json.loads(out)
+    upper = serialize.table_from_doc(doc["upper"])
+    lower = serialize.table_from_doc(doc["lower"])
+    # all ten bids at the top level; the bottom bid raised to the top
+    assert upper[(1, 1)] == 20 and upper[(1, 0)] == 10
+    assert lower[(1, 1)] == 4 and lower[(1, 0)] == 2
 
 
 def test_fine_ladders_are_rejected_before_tabulation(capsys, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from compauction.benchmarks import BenchmarkTable, builtin_table, f2, maxv
 from compauction.grid import BidGrid, weight_vector
 from compauction.ratios import (
+    NETWORK_MAX_BIDDERS,
     EqualRevenueSampler,
     bids_from_uniform,
     check_gn_tight,
@@ -23,6 +24,7 @@ from compauction.ratios import (
     maxv_statistic,
     maxv_tail,
     mc_expected,
+    merge_exchange_network,
     sample_bids,
 )
 from tests.conftest import random_monotone_table, small_grids, two_tier_table
@@ -170,18 +172,43 @@ def _reference_statistics(row):
     )
 
 
-@pytest.mark.parametrize("n", list(range(2, 13)) + [256])
+@pytest.mark.parametrize(
+    "n", sorted({*range(2, 13), NETWORK_MAX_BIDDERS, NETWORK_MAX_BIDDERS + 1, 256})
+)
 def test_statistics_equal_a_per_row_reference(n):
     # values from a small set, so rows carry ties; products and maxima are
     # exact float operations, so the vectorized rows must match bit for bit
+    # on both sides of the network's crossover
     rng = np.random.default_rng(n)
     bids = rng.choice([1.0, 1.25, 2.0, 3.5, 1 / 0.3], size=(60, n))
     bids[::7] = 2.0  # rows of one repeated value
+    # the sampler's extremes: 1/1 and 1/2^-53
+    bids[3::9] = rng.choice([1.0, 2.0**53], size=bids[3::9].shape)
+    bids[5, 0] = 2.0**53
     before = bids.copy()
     expected = [_reference_statistics(row) for row in bids.tolist()]
     assert f2_statistic(bids).tolist() == [f for f, _ in expected]
     assert maxv_statistic(bids).tolist() == [v for _, v in expected]
     assert np.array_equal(bids, before)
+
+
+def test_merge_exchange_network_sorts_every_zero_one_input():
+    # a comparator network sorts every input iff it sorts every 0-1 input
+    # (Knuth 5.3.4, Theorem Z); bit w of keys[j] is key j of the 0-1 input w,
+    # so AND and OR compare-exchange all 2^n inputs at once
+    sizes = {2: 1, 3: 3, 4: 5, 5: 9, 8: 19, 12: 41}
+    for n in range(2, NETWORK_MAX_BIDDERS + 1):
+        keys = []
+        for j in range(n):
+            word, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+            while width < 1 << n:
+                word, width = word | word << width, 2 * width
+            keys.append(word)
+        network = merge_exchange_network(n)
+        for i, j in network:
+            keys[i], keys[j] = keys[i] & keys[j], keys[i] | keys[j]
+        assert all(low & ~high == 0 for low, high in zip(keys, keys[1:])), n
+        assert len(network) == sizes.get(n, len(network)), n
 
 
 @pytest.mark.parametrize("stat", [f2_statistic, maxv_statistic])
