@@ -12,6 +12,8 @@ Three layers are timed, each as the median (and minimum) of several runs:
 * ``builtin_table`` for f2 and maxv on 121x2 (delta 1/10), 129x2
   (delta 1/16) and 2x16 (delta 1).
 
+Each n of the first two layers is timed in a fresh child process, one at a
+time, so no row inherits the allocator state an earlier row left behind.
 The machine's core count and the Python and NumPy versions are recorded
 with them.  Run from the root of a source checkout:
 
@@ -20,6 +22,7 @@ with them.  Run from the root of a source checkout:
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -56,32 +59,51 @@ def timed(fn, repeats: int, prepare=lambda: ()) -> dict:
     return {"median_s": statistics.median(runs), "min_s": min(runs)}
 
 
+def block_rows(n: int) -> list[dict]:
+    """Both statistics on fresh blocks of n bidders."""
+    rows = min(20000, 2**22 // n)
+    sampler = EqualRevenueSampler(n, seed=n)
+    found = []
+    for name, stat in STATISTICS.items():
+        # a fresh block per run, as in mc_expected
+        draw = lambda: (sampler.sample(rows),)
+        found.append({"stat": name, "n": n, "rows": rows,
+                      **timed(stat, BLOCK_REPEATS, draw)})
+    return found
+
+
+def mc_rows(n: int) -> list[dict]:
+    """``mc_expected`` for both statistics at n bidders."""
+    found = []
+    for name, stat in STATISTICS.items():
+        run = (stat, n, MC_SAMPLES, MC_BLOCKS)
+        found.append({"stat": name, "n": n, "samples": MC_SAMPLES,
+                      "blocks": MC_BLOCKS,
+                      **timed(mc_expected, SLOW_REPEATS, lambda: run)})
+    return found
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_expectations.json")
     args = parser.parse_args()
 
-    blocks = []
-    for n in BIDDERS:
-        rows = min(20000, 2**22 // n)
-        sampler = EqualRevenueSampler(n, seed=n)
-        for name, stat in STATISTICS.items():
-            # a fresh block per run, as in mc_expected
-            draw = lambda: (sampler.sample(rows),)
-            blocks.append({"stat": name, "n": n, "rows": rows,
-                           **timed(stat, BLOCK_REPEATS, draw)})
-            print(f"# block {name} n={n}: {blocks[-1]['median_s'] * 1e3:.2f} ms",
-                  flush=True)
+    # one worker, replaced after every task: each n runs alone in a new process
+    pool = multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1)
+    with pool:
+        blocks = []
+        for n in BIDDERS:
+            for row in pool.apply(block_rows, (n,)):
+                blocks.append(row)
+                print(f"# block {row['stat']} n={n}: {row['median_s'] * 1e3:.2f} ms",
+                      flush=True)
 
-    mc = []
-    for n in BIDDERS:
-        for name, stat in STATISTICS.items():
-            run = (stat, n, MC_SAMPLES, MC_BLOCKS)
-            mc.append({"stat": name, "n": n, "samples": MC_SAMPLES,
-                       "blocks": MC_BLOCKS,
-                       **timed(mc_expected, SLOW_REPEATS, lambda: run)})
-            print(f"# mc_expected {name} n={n}: {mc[-1]['median_s']:.3f} s",
-                  flush=True)
+        mc = []
+        for n in BIDDERS:
+            for row in pool.apply(mc_rows, (n,)):
+                mc.append(row)
+                print(f"# mc_expected {row['stat']} n={n}: {row['median_s']:.3f} s",
+                      flush=True)
 
     tables = []
     for delta, levels, n in TABLE_GRIDS:

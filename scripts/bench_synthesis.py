@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Time synthesis past the enumeration bound and write BENCH_synthesis.json.
+
+Each row builds a built-in benchmark table, finds its optimal ratio by the
+cut, then times ``synthesize`` at that ratio and the evaluation of the
+result (``x_to_z`` then ``competitive_ratio``).  A row passes when the
+evaluated ratio equals the optimal ratio exactly and ``verify_ls2`` holds;
+the script exits 1 if any row fails.  The rows are f2 and maxv on 8x2, 4x3
+and 3x4, and f2 on 6x3, 4x4, 16x2 and 32x2 (1,024 points, the cut's bound),
+all at delta 1.
+
+The machine's core count and the Python and NumPy versions are recorded
+with them.  Run from the root of a source checkout:
+
+    PYTHONPATH=src python scripts/bench_synthesis.py [--out FILE]
+"""
+
+import argparse
+import collections
+import json
+import os
+import platform
+import sys
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from compauction.attainability import optimal_ratio
+from compauction.auctions import competitive_ratio
+from compauction.benchmarks import builtin_table
+from compauction.grid import BidGrid
+from compauction.synthesis import synthesize, verify_ls2, x_to_z
+
+ROWS = [
+    ("f2", 8, 2), ("maxv", 8, 2), ("f2", 4, 3), ("maxv", 4, 3),
+    ("f2", 3, 4), ("maxv", 3, 4),
+    ("f2", 6, 3), ("f2", 4, 4), ("f2", 16, 2), ("f2", 32, 2),
+]
+
+
+class StepCounter:
+    """Synthesis observer counting the steps by the event that ended them."""
+
+    def __init__(self):
+        self.events = collections.Counter()
+
+    def initial(self, state):
+        pass
+
+    def step(self, number, state, direction, outcome):
+        self.events[outcome.handled.value] += 1
+
+    def finished(self, steps):
+        pass
+
+
+def bench_row(kind: str, levels: int, n: int) -> dict:
+    table = builtin_table(BidGrid(Fraction(1), levels, n), kind)
+    start = time.perf_counter()
+    lam = optimal_ratio(table).ratio
+    optimal_s = time.perf_counter() - start
+
+    counter = StepCounter()
+    start = time.perf_counter()
+    revenue = synthesize(table, lam, observer=counter)
+    synthesize_s = time.perf_counter() - start
+
+    start = time.perf_counter()
+    evaluated = competitive_ratio(x_to_z(revenue), table).ratio
+    evaluate_s = time.perf_counter() - start
+    return {
+        "kind": kind, "grid": f"{levels}x{n}", "delta": "1", "points": levels**n,
+        "ratio": str(lam), "steps": sum(counter.events.values()),
+        "steps_by_event": dict(sorted(counter.events.items())),
+        "optimal_s": optimal_s, "synthesize_s": synthesize_s,
+        "evaluate_s": evaluate_s,
+        "evaluated_equals_optimal": evaluated == lam,
+        "verify_ls2": verify_ls2(revenue, table, lam),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_synthesis.json")
+    args = parser.parse_args()
+
+    rows = []
+    for kind, levels, n in ROWS:
+        rows.append(bench_row(kind, levels, n))
+        row = rows[-1]
+        print(f"# {kind} {levels}x{n}: {row['steps']} steps, synthesize "
+              f"{row['synthesize_s']:.2f} s, evaluate {row['evaluate_s']:.2f} s, "
+              f"exact {row['evaluated_equals_optimal'] and row['verify_ls2']}",
+              flush=True)
+
+    doc = {
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
+        "rows": rows,
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
+    print(f"# wrote {args.out}")
+    ok = all(r["evaluated_equals_optimal"] and r["verify_ls2"] for r in rows)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ on the revenue linear system stay as independent oracles for the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,30 +97,113 @@ def check_cut_size(grid: BidGrid) -> None:
     check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "cut")
 
 
+def cover_graph(grid: BidGrid) -> tuple[list[Point], list[list[int]]]:
+    """Grid points in lexicographic order, and the indices of each one's covers.
+
+    These are the nodes and the uncuttable arcs of every closure on the grid.
+    """
+    points = list(grid.points())
+    index = {p: k for k, p in enumerate(points)}
+    return points, [[index[q] for q in covers(p, grid.top)] for p in points]
+
+
+def integer_terms(*columns: Sequence[Fraction]) -> list[list[int]]:
+    """The columns as integers, all scaled by one common positive factor.
+
+    Scaling changes neither the sign of ``a - lam*c`` nor any ratio
+    ``a(S)/c(S)``, and integer capacities keep the cut exact and fast.
+    """
+    scale = math.lcm(*(x.denominator for column in columns for x in column))
+    return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
+
+
 def _closure_terms(
     table: BenchmarkTable,
 ) -> tuple[list[Point], list[list[int]], list[int], list[int]]:
-    """Grid points, the indices of each one's covers, and ``a(b)``, ``c(b)``.
-
-    Both term lists are integers scaled by one common positive factor, which
-    changes neither the sign of ``a - lam*c`` nor any ratio ``a(S)/c(S)``.
-    """
+    """Grid points, their covers, and ``a(b)``, ``c(b)`` as scaled integers."""
     grid = table.grid
     check_cut_size(grid)
-    points = list(grid.points())
-    index = {p: k for k, p in enumerate(points)}
-    above = [[index[q] for q in covers(p, grid.top)] for p in points]
+    points, above = cover_graph(grid)
     terms = [point_terms(grid, p, table.values[p]) for p in points]
-    scale = math.lcm(*(x.denominator for pair in terms for x in pair))
-    a = [lhs.numerator * (scale // lhs.denominator) for lhs, _ in terms]
-    c = [rhs.numerator * (scale // rhs.denominator) for _, rhs in terms]
+    a, c = integer_terms([lhs for lhs, _ in terms], [rhs for _, rhs in terms])
     return points, above, a, c
 
 
-def _worst_upset(
+@dataclass
+class Closure:
+    """A largest maximum-weight closure and the residual graph of its cut.
+
+    Residual nodes ``0..len(a)-1`` are the points, then come the source and
+    the sink.  The source sides of the minimum cuts are exactly the closed
+    sets of the residual graph (arcs with capacity left) that hold the source
+    but not the sink, so the residual graph answers questions about all
+    maximum closures at once (Picard and Queyranne 1980).
+    """
+
+    value: int
+    members: list[int]
+    residual: list[dict[int, int]]
+
+    @functools.cached_property
+    def components(self) -> tuple[list[int], list[int], list[int]]:
+        """Strongly connected components of the residual graph: each node's
+        component, and each component's nodes and reach as bit masks.
+
+        Tarjan's algorithm emits components sinks first, so each component
+        reaches its own nodes and whatever its successors reach.
+        """
+        succ = [[v for v, left in arcs.items() if left > 0] for arcs in self.residual]
+        order = [-1] * len(succ)
+        low = [0] * len(succ)
+        comp = [-1] * len(succ)
+        comp_own: list[int] = []
+        comp_reach: list[int] = []
+        stack: list[int] = []
+        visited = 0
+        for root in range(len(succ)):
+            if order[root] >= 0:
+                continue
+            work = [(root, 0)]
+            order[root] = low[root] = visited
+            visited += 1
+            stack.append(root)
+            while work:
+                u, i = work[-1]
+                if i < len(succ[u]):
+                    work[-1] = (u, i + 1)
+                    v = succ[u][i]
+                    if order[v] < 0:
+                        order[v] = low[v] = visited
+                        visited += 1
+                        stack.append(v)
+                        work.append((v, 0))
+                    elif comp[v] < 0:  # still on the stack
+                        low[u] = min(low[u], order[v])
+                    continue
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                if low[u] == order[u]:
+                    members, own = [], 0
+                    while not members or members[-1] != u:
+                        w = stack.pop()
+                        comp[w] = len(comp_reach)
+                        members.append(w)
+                        own |= 1 << w
+                    mask = own
+                    for w in members:
+                        for v in succ[w]:
+                            if comp[v] != comp[u]:
+                                mask |= comp_reach[comp[v]]
+                    comp_own.append(own)
+                    comp_reach.append(mask)
+        return comp, comp_own, comp_reach
+
+
+def max_closure(
     above: list[list[int]], a: list[int], c: list[int], lam: Fraction
-) -> tuple[int, list[int]]:
-    """Largest upset maximizing ``a - lam*c``, and that maximum (scaled).
+) -> Closure:
+    """Largest upset maximizing ``a - lam*c``, that maximum (scaled), and the cut.
 
     A source arc feeds each point of positive weight, a sink arc drains each
     point of negative weight, and each point pulls in its covers through arcs
@@ -169,7 +253,7 @@ def _worst_upset(
                 drains.add(u)
                 queue.append(u)
     members = [k for k in range(len(weight)) if k not in drains]
-    return sum(weight[k] for k in members), members
+    return Closure(sum(weight[k] for k in members), members, residual)
 
 
 def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
@@ -180,10 +264,10 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
     """
     lam = Fraction(lam)
     points, above, a, c = _closure_terms(table)
-    excess, members = _worst_upset(above, a, c, lam)
-    if excess <= 0:
+    cut = max_closure(above, a, c, lam)
+    if cut.value <= 0:
         return Verdict(attainable=True, lam=lam, witness=None, method="cut")
-    witness = Upset.of(table.grid, (points[k] for k in members))
+    witness = Upset.of(table.grid, (points[k] for k in cut.members))
     return Verdict(attainable=False, lam=lam, witness=witness, method="cut")
 
 
@@ -199,11 +283,11 @@ def optimal_ratio(table: BenchmarkTable) -> RatioResult:
     members = list(range(len(points)))
     while True:
         lam = Fraction(sum(a[k] for k in members), sum(c[k] for k in members))
-        excess, worst = _worst_upset(above, a, c, lam)
-        if excess == 0:
-            witness = Upset.of(table.grid, (points[k] for k in worst))
+        cut = max_closure(above, a, c, lam)
+        if cut.value == 0:
+            witness = Upset.of(table.grid, (points[k] for k in cut.members))
             return RatioResult(lam, witness, method="cut")
-        members = worst
+        members = cut.members
 
 
 def _variable_index(grid) -> dict[tuple[int, Point, int], int]:

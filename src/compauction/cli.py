@@ -159,7 +159,8 @@ def _cmd_optimal(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     table = _load_table(
-        args.benchmark, lambda grid, _: synthesis.check_synthesis_size(grid)
+        args.benchmark,
+        lambda grid, _: synthesis.check_synthesis_size(grid, trace=args.trace),
     )
     if args.ratio is None:
         lam = attainability.optimal_ratio(table).ratio

@@ -24,6 +24,12 @@ of three boundary events, handled in this order:
 * some set's inequality becomes tight: splice its union with ``S_1`` into the
   chain.
 
+Both an upset's slack and its rate of change are sums of per-point terms, so
+no step lists upsets: the step bound is a Dinkelbach iteration over maximum
+closures of ``eps*rate - slack`` (Dinkelbach 1967), and the sets a new-tight
+event splices into the chain are read off the residual graph of the last
+closure's minimum cut (Picard and Queyranne 1980).
+
 Each event shrinks the support, spends a budget, or grows the chain, so the
 loop terminates; when ``f`` is identically zero the accumulated ``x`` solves
 the revenue system at ratio ``lam`` exactly.
@@ -31,12 +37,21 @@ the revenue system at ratio ``lam`` exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from compauction.attainability import check_attainable, point_terms
+from compauction.attainability import (
+    CUT_POINT_CAP,
+    Closure,
+    check_attainable,
+    cover_graph,
+    integer_terms,
+    max_closure,
+    point_terms,
+)
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
@@ -46,7 +61,6 @@ from compauction.grid import (
     Upset,
     check_size,
     covers,
-    enumerate_upsets,
     project,
     weight_level,
     weight_others,
@@ -81,7 +95,8 @@ class SynthesisState:
     g: list[dict[Point, Fraction]]
     x: list[dict[Point, list[Fraction]]]
     chain: list[Upset]
-    upsets: list[Upset]
+    points: list[Point]  # grid points in lexicographic order: the cut's nodes
+    above: list[list[int]]  # indices of each point's covers
 
 
 @dataclass
@@ -92,12 +107,100 @@ class Direction:
 
 
 @dataclass
+class TightLattice:
+    """Every upset whose slack reaches zero at a step's eps.
+
+    These are the maximum closures of ``eps*rate - slack``, whose value is 0
+    at the final eps, so they are the minimum cuts of the step's last closure:
+    the closed sets of its residual graph that hold the source but not the
+    sink (Picard and Queyranne 1980).  Sets are bit masks over the cut's
+    nodes: bit ``k`` is ``points[k]``, then come the source and the sink.
+    """
+
+    grid: BidGrid
+    points: list[Point]
+    cut: Closure  # the step's last closure
+    fibers: list[tuple[int, int]]  # (top, cut) node of each member's fiber
+
+    @functools.cached_property
+    def reach(self) -> list[int]:
+        """The nodes each node reaches along residual arcs, as bit masks."""
+        comp, _, comp_reach = self.cut.components
+        return [comp_reach[c] for c in comp]
+
+    def least_sets(self, free: int) -> list[int]:
+        """Each least tight set ``M(p, o)`` with positive rate, in key order.
+
+        ``M(p, o)`` is the least tight set holding point ``p`` (a bit of
+        ``free``) and the top point of member fiber ``o``: what ``p`` and
+        that top point reach, unless that takes in the sink, when no tight
+        set holds both.  (The last closure is worth 0, so every source arc is
+        saturated and the source itself reaches nothing.)  It has positive
+        rate unless it also holds the fiber's cut point.  The key is
+        ``(len, sorted points)``.
+        """
+        reach = self.reach
+        source, sink = len(self.points), len(self.points) + 1
+        found = set()
+        for p in _bits(free):
+            for top, cut in self.fibers:
+                least = reach[p] | reach[top]
+                if not least >> sink & 1 and not least >> cut & 1:
+                    found.add(least & ~(1 << source))
+        return sorted(found, key=lambda s: (s.bit_count(), list(_bits(s))))
+
+    def upset(self, mask: int) -> Upset:
+        return Upset.of(self.grid, (self.points[k] for k in _bits(mask)))
+
+    def listing(self) -> list[Upset]:
+        """Every tight upset with positive rate, in ``enumerate_upsets`` order.
+
+        The closed sets are built component by component, sinks first: a
+        component may join a set once everything it reaches is in.  There
+        can be exponentially many, so this is for trace-size grids.
+        """
+        _, comp_own, comp_reach = self.cut.components
+        source, sink = len(self.points), len(self.points) + 1
+        closed = [0]
+        for own, reach in zip(comp_own, comp_reach):
+            if not reach >> sink & 1:
+                closed += [s | reach for s in closed if s | reach == s | own]
+        tight = [
+            s & ~(1 << source)
+            for s in closed
+            if s >> source & 1
+            and any(s >> top & 1 and not s >> cut & 1 for top, cut in self.fibers)
+        ]
+        # enumerate_upsets decides points from the top of the grid down,
+        # leaving each one out before taking it in
+        index = {p: k for k, p in enumerate(self.points)}
+        down = sorted(self.points, key=lambda p: (sum(p), p), reverse=True)
+        tight.sort(key=lambda s: [s >> index[p] & 1 for p in down])
+        return [self.upset(s) for s in tight]
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass
 class StepOutcome:
     eps: Fraction
     f_hits: list[Point]
     g_hits: list[Point]
-    new_tight: list[Upset]
     handled: StepEvent
+    tight: TightLattice
+
+    @functools.cached_property
+    def new_tight(self) -> list[Upset]:
+        """The upsets that bind at eps: zero slack after the step, positive rate.
+
+        Listed in ``enumerate_upsets`` order, for observers on trace-size grids.
+        """
+        return self.tight.listing()
 
 
 @dataclass
@@ -192,8 +295,11 @@ def rate_shares(state: SynthesisState, d: Direction) -> dict[Point, Fraction]:
 def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
     """Largest admissible eps and the boundary events that stop it.
 
-    A set binds when its slack shrinks (positive rate); an already-tight one
-    binds at eps zero and is folded into the chain before any real motion.
+    Starting from the f and g bounds, eps falls to ``slack(S)/rate(S)`` of
+    the maximum closure ``S`` of ``eps*rate - slack`` while that closure is
+    worth more than the empty set.  Slack is never negative, so the closure
+    at the final eps is worth 0 and its minimum cuts are the sets that bind
+    there; an already-tight set with positive rate binds at eps zero.
     """
     grid = state.grid
     lam = state.lam
@@ -210,15 +316,22 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
             bound_g = val
     assert bound_f is not None and bound_g is not None
 
-    binding: list[tuple[Fraction, Upset]] = []
-    rates = rate_shares(state, d)
     shares = slack_shares(state)
-    for upset in state.upsets:
-        rate = sum((r for p, r in rates.items() if p in upset.points), Fraction(0))
-        if rate > 0:
-            binding.append((eq_slack(state, upset, shares) / rate, upset))
+    rates = rate_shares(state, d)
+    zero = Fraction(0)
+    slack, rate = integer_terms(
+        [shares[p] for p in state.points], [rates.get(p, zero) for p in state.points]
+    )
+    minus_slack, minus_rate = [-s for s in slack], [-r for r in rate]
+    eps = min(bound_f, bound_g)
+    while True:
+        cut = max_closure(state.above, minus_slack, minus_rate, eps)
+        if cut.value == 0:
+            break
+        eps = Fraction(
+            sum(slack[k] for k in cut.members), sum(rate[k] for k in cut.members)
+        )
 
-    eps = min([bound_f, bound_g] + [e for e, _ in binding])
     f_hits = sorted(
         _insert_at(others, d.i, t)
         for others in d.members
@@ -230,14 +343,19 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
         for others in d.members
         if state.g[d.i][others] * grid.level_value(d.cut[others]) == eps
     )
-    new_tight = [u for e, u in binding if e == eps]
     if f_hits:
         handled = StepEvent.F_ZERO
     elif g_hits:
         handled = StepEvent.G_ZERO
     else:
         handled = StepEvent.NEW_TIGHT
-    return StepOutcome(eps, f_hits, g_hits, new_tight, handled)
+    index = {p: k for k, p in enumerate(state.points)}
+    fibers = [
+        (index[_insert_at(o, d.i, grid.top)], index[_insert_at(o, d.i, d.cut[o])])
+        for o in d.members
+    ]
+    tight = TightLattice(grid, state.points, cut, fibers)
+    return StepOutcome(eps, f_hits, g_hits, handled, tight)
 
 
 def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
@@ -276,27 +394,39 @@ def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
     if outcome.handled is StepEvent.G_ZERO:
         return
 
-    head = state.chain[0]
+    # Splice in the running unions S_1 u T_1 u T_2 ... of the new tight sets
+    # T_j, taken in (len, sorted points) order.  A union that adds nothing is
+    # skipped, and so is one that reaches the whole support: its rate against
+    # the grown chain is 0.  Only a least set M(p, o) can add a point p, so
+    # those are the only sets the lattice lists.
+    lattice = outcome.tight
+    index = {p: k for k, p in enumerate(state.points)}
+    head = sum(1 << index[p] for p in state.chain[0].points)
+    inner = sum(1 << index[p] for p in state.chain[1].points)
     inserted = 0
-    order = sorted(outcome.new_tight, key=lambda s: (len(s), sorted(s.points)))
-    for fresh in order:
-        trimmed = fresh.intersection(head)
-        if eq_slack(state, trimmed) != 0:
-            raise SynthesisInvariantError("trimmed tight set lost tightness")
-        merged = trimmed.union(state.chain[1])
-        if merged == state.chain[1]:
+    for fresh in lattice.least_sets(head & ~inner):
+        merged = (fresh & head) | inner
+        if merged in (inner, head):
             continue
-        if not merged.points < head.points:
-            raise SynthesisInvariantError("tight set spans the whole support")
-        state.chain.insert(1, merged)
+        grown = lattice.upset(merged)
+        if eq_slack(state, grown) != 0:
+            raise SynthesisInvariantError("spliced tight set lost tightness")
+        state.chain.insert(1, grown)
+        inner = merged
         inserted += 1
     if inserted == 0:
         raise SynthesisInvariantError("tight-set event produced no chain growth")
 
 
-def check_synthesis_size(grid: BidGrid) -> None:
-    """Reject a grid whose upsets are too many to list, before any cut runs."""
-    check_size(grid.num_levels, grid.n, DEFAULT_POINT_CAP, "synthesis")
+def check_synthesis_size(grid: BidGrid, trace: bool = False) -> None:
+    """Reject a grid past the cut's bound, before any cut runs.
+
+    A trace lists every new tight set, and there can be exponentially many,
+    so a traced run keeps the enumeration bound.
+    """
+    check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "synthesis")
+    if trace:
+        check_size(grid.num_levels, grid.n, DEFAULT_POINT_CAP, "trace")
 
 
 def synthesize(
@@ -308,10 +438,10 @@ def synthesize(
 ) -> RevenueTables:
     """Build revenue tables solving the system at ratio ``lam``.
 
-    Raises :class:`DomainTooLargeError` past ``DEFAULT_POINT_CAP`` points and
+    Raises :class:`DomainTooLargeError` past ``CUT_POINT_CAP`` points and
     :class:`NotAttainableError` when the benchmark fails the attainability
     condition.  ``validate_steps`` re-checks every invariant after every step
-    (meant for tests on tiny grids).
+    (meant for tests).
     """
     lam = Fraction(lam)
     grid = table.grid
@@ -323,6 +453,7 @@ def synthesize(
             f"witness set of size {len(verdict.witness) if verdict.witness else 0}"
         )
 
+    points, above = cover_graph(grid)
     state = SynthesisState(
         grid=grid,
         lam=lam,
@@ -335,7 +466,8 @@ def synthesize(
             for _ in range(grid.n)
         ],
         chain=[],
-        upsets=enumerate_upsets(grid),
+        points=points,
+        above=above,
     )
     support = support_upset(state)
     state.chain = [support, Upset.empty(grid)]
@@ -369,18 +501,21 @@ def check_invariants(
 ) -> None:
     """Assert every invariant the procedure promises to preserve.
 
-    Meant for tests and debugging on enumeration-scale grids: the g-weighted
-    inequality for every upset, tightness of every chain set, monotone
-    non-negative working benchmark, budgets decreasing along each chain
-    layer, monotone non-negative revenue rows, and exact accounting between
-    the original benchmark, the working one, and the revenue collected.
+    Meant for tests and debugging: the g-weighted inequality for every upset
+    (one cut: no upset has positive ``-slack``), tightness of every chain set,
+    monotone non-negative working benchmark, budgets decreasing along each
+    chain layer, monotone non-negative revenue rows, and exact accounting
+    between the original benchmark, the working one, and the revenue
+    collected.
     """
     grid = state.grid
 
     shares = slack_shares(state)
-    for upset in state.upsets:
-        if eq_slack(state, upset, shares) < 0:
-            raise SynthesisInvariantError(f"inequality violated for {sorted(upset)}")
+    (slack,) = integer_terms([shares[p] for p in state.points])
+    worst = max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
+    if worst.value > 0:
+        violated = sorted(state.points[k] for k in worst.members)
+        raise SynthesisInvariantError(f"inequality violated for {violated}")
     for s in state.chain[1:]:
         if s.points and eq_slack(state, s, shares) != 0:
             raise SynthesisInvariantError(f"chain set {sorted(s)} lost tightness")
@@ -522,6 +657,7 @@ class TraceRecorder:
     """
 
     def __init__(self, grid: BidGrid, lam: Fraction):
+        check_synthesis_size(grid, trace=True)
         self.grid = grid
         delta = _format_value(grid.delta)
         lam_s = _format_value(Fraction(lam))

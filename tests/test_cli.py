@@ -446,14 +446,19 @@ def test_synthesize_checks_its_size_before_any_cut(capsys, tmp_path, monkeypatch
     monkeypatch.setattr(attainability, "check_attainable", no_cut)
     monkeypatch.setattr(synthesis, "check_attainable", no_cut)
     bench = tmp_path / "f2.json"
-    for levels in (5, 32, 64):
+    cases = [((33, 2), (), "synthesis cap of 1024"),
+             ((64, 2), (), "synthesis cap of 1024"),
+             ((2, 11), (), "synthesis cap of 1024"),
+             ((5, 2), ("--trace",), "trace cap of 16"),
+             ((2, 5), ("--trace",), "trace cap of 16")]
+    for (levels, n), trace, message in cases:
         bench.write_text(serialize.dumps(
-            {"grid": {"delta": "1", "levels": levels, "n": 2}, "kind": "f2"}))
+            {"grid": {"delta": "1", "levels": levels, "n": n}, "kind": "f2"}))
         for ratio in ((), ("2",)):
-            code, out, err = run(capsys, "synthesize", str(bench), *ratio,
+            code, out, err = run(capsys, "synthesize", str(bench), *ratio, *trace,
                                  "--output", str(tmp_path / "auction.json"))
             assert code == 2 and out == "" and _one_error_line(err)
-            assert "synthesis cap of 16" in err
+            assert message in err
 
 
 def test_ratios_and_simulate_sizes_are_bounded(capsys, monkeypatch):

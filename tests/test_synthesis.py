@@ -10,7 +10,7 @@ from compauction import synthesis
 from compauction.attainability import optimal_ratio
 from compauction.auctions import competitive_ratio, expected_revenue
 from compauction.benchmarks import BenchmarkTable, builtin_table
-from compauction.grid import BidGrid, DomainTooLargeError
+from compauction.grid import BidGrid, DomainTooLargeError, enumerate_upsets
 from compauction.synthesis import (
     IterationLimitError,
     NotAttainableError,
@@ -24,7 +24,12 @@ from compauction.synthesis import (
     verify_ls2,
     x_to_z,
 )
-from tests.conftest import random_monotone_table, small_grids, two_tier_table
+from tests.conftest import (
+    random_monotone_table,
+    random_symmetric_monotone_table,
+    small_grids,
+    two_tier_table,
+)
 
 G22 = BidGrid(Fraction(1), 2, 2)
 DATA = Path(__file__).parent / "data"
@@ -188,7 +193,7 @@ def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
         before = slack_shares(state)
         apply_step(state, d, eps)
         after = slack_shares(state)
-        for upset in state.upsets:
+        for upset in enumerate_upsets(grid):
             assert eq_slack(state, upset, after) == (
                 eq_slack(state, upset, before) - eps * rate(rates, upset)
             )
@@ -203,15 +208,128 @@ def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
     assert any(moved)
 
 
+def scan_step(state, d):
+    """The step as the upset scan found it: every upset's slack over its rate.
+
+    Returns eps, f_hits, g_hits, the handled event and the new tight sets in
+    enumeration order.
+    """
+    grid, lam = state.grid, state.lam
+    fibers = [(o, t) for o in d.members for t in range(d.cut[o], grid.num_levels)]
+    bound_f = min(state.f[synthesis._insert_at(o, d.i, t)] / lam for o, t in fibers)
+    bound_g = min(state.g[d.i][o] * grid.level_value(d.cut[o]) for o in d.members)
+    rates, shares = rate_shares(state, d), slack_shares(state)
+    binding = []
+    for upset in enumerate_upsets(grid):
+        rate = sum((rates.get(p, 0) for p in upset.points), Fraction(0))
+        if rate > 0:
+            binding.append((eq_slack(state, upset, shares) / rate, upset))
+    eps = min([bound_f, bound_g] + [e for e, _ in binding])
+    f_hits = sorted(synthesis._insert_at(o, d.i, t) for o, t in fibers
+                    if state.f[synthesis._insert_at(o, d.i, t)] == lam * eps)
+    g_hits = sorted(o for o in d.members
+                    if state.g[d.i][o] * grid.level_value(d.cut[o]) == eps)
+    handled = (StepEvent.F_ZERO if f_hits else
+               StepEvent.G_ZERO if g_hits else StepEvent.NEW_TIGHT)
+    return eps, f_hits, g_hits, handled, [u for e, u in binding if e == eps]
+
+
+def scan_chain(chain, new_tight):
+    """The chain after a new-tight event, splicing in every listed set."""
+    head, chain = chain[0], list(chain)
+    for fresh in sorted(new_tight, key=lambda s: (len(s), sorted(s.points))):
+        merged = fresh.intersection(head).union(chain[1])
+        if merged not in (chain[1], head):
+            chain.insert(1, merged)
+    return chain
+
+
+def synthesize_against_the_scan(tables, monkeypatch):
+    """Synthesize each table at its optimum and at 5/4 of it, checking that
+    every cut step finds what scanning every upset finds."""
+    max_step, handle_event = synthesis.max_step, synthesis.handle_event
+    scanned = {}
+
+    def checked_step(state, d):
+        outcome = max_step(state, d)
+        eps, f_hits, g_hits, handled, new_tight = scan_step(state, d)
+        assert (outcome.eps, outcome.f_hits, outcome.g_hits, outcome.handled) == (
+            eps, f_hits, g_hits, handled)
+        assert outcome.new_tight == new_tight
+        scanned[id(outcome)] = new_tight
+        return outcome
+
+    def checked_event(state, outcome):
+        expected = scan_chain(state.chain, scanned.pop(id(outcome)))
+        handle_event(state, outcome)
+        if outcome.handled is StepEvent.NEW_TIGHT:
+            assert state.chain == expected
+
+    monkeypatch.setattr(synthesis, "max_step", checked_step)
+    monkeypatch.setattr(synthesis, "handle_event", checked_event)
+    for table in tables:
+        lam = optimal_ratio(table).ratio
+        for target in (lam, lam * Fraction(5, 4)):
+            assert verify_ls2(synthesize(table, target), table, target)
+    assert not scanned
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize(
+    "shape", [(g.num_levels, g.n) for g in small_grids()] + [(4, 2)], ids=str)
+def test_cut_steps_match_the_upset_scan(shape, delta, rng, monkeypatch):
+    grid = BidGrid(delta, *shape)
+    tables = [builtin_table(grid, "f2"), builtin_table(grid, "maxv")]
+    tables += [random_monotone_table(grid, rng, nonzero=True) for _ in range(2)]
+    tables += [random_symmetric_monotone_table(grid, rng) for _ in range(3)]
+    synthesize_against_the_scan(tables, monkeypatch)
+
+
+def test_tight_sets_of_one_size_splice_in_key_order(monkeypatch):
+    """Symmetric tables tie new tight sets in size, and which of two such
+    sets is spliced in first changes the chain; on these two the order
+    decides it at the optimum."""
+    grid = BidGrid(Fraction(5, 2), 2, 3)
+    tables = [
+        BenchmarkTable(grid, {p: Fraction(by_tops[sum(p)]) for p in grid.points()})
+        for by_tops in ((1, 1, 13, 20), (0, 5, 8, 18))
+    ]
+    synthesize_against_the_scan(tables, monkeypatch)
+
+
+def test_tight_sets_that_cover_the_support_together_are_skipped():
+    """Two tight sets of one event may together cover the whole support.
+
+    After the first is spliced in, the second's union with ``S_1`` is the
+    support, whose rate against the grown chain is 0, so it is skipped; here
+    that happens at the optimum of a symmetric 2x3 table.
+    """
+    grid = BidGrid(Fraction(1, 3), 2, 3)
+    by_tops = [Fraction(0), Fraction(1), Fraction(9, 4), Fraction(9, 4)]
+    table = BenchmarkTable(grid, {p: by_tops[sum(p)] for p in grid.points()})
+    lam = optimal_ratio(table).ratio
+    assert lam == Fraction(87, 128)
+    revenue = synthesize(table, lam, validate_steps=True)
+    assert verify_ls2(revenue, table, lam)
+    assert competitive_ratio(x_to_z(revenue), table).ratio == lam
+
+
 def test_synthesis_checks_its_size_before_any_cut(monkeypatch):
-    def no_cut(table, lam):
+    def no_cut(*args):
         raise AssertionError("a cut ran before the size check")
 
     monkeypatch.setattr(synthesis, "check_attainable", no_cut)
-    for levels, n in ((5, 2), (32, 2), (2, 5)):
+    monkeypatch.setattr(synthesis, "max_closure", no_cut)
+    for levels, n in ((33, 2), (2, 11)):
         table = builtin_table(BidGrid(Fraction(1), levels, n), "f2")
-        with pytest.raises(DomainTooLargeError, match="synthesis cap of 16"):
+        with pytest.raises(DomainTooLargeError, match="synthesis cap of 1024"):
             synthesize(table, Fraction(2))
+    # a trace lists upsets, so it keeps the enumeration bound
+    for levels, n in ((5, 2), (2, 5)):
+        grid = BidGrid(Fraction(1), levels, n)
+        with pytest.raises(DomainTooLargeError, match="trace cap of 16"):
+            synthesize(builtin_table(grid, "f2"), Fraction(2),
+                       observer=TraceRecorder(grid, Fraction(2)))
 
 
 def test_zero_benchmark_synthesizes_to_zero():
@@ -259,6 +377,18 @@ def test_synthesis_above_the_optimal_ratio(rng):
     lam = optimal_ratio(table).ratio + 1
     revenue = synthesize(table, lam, validate_steps=True)
     assert verify_ls2(revenue, table, lam)
+
+
+@pytest.mark.parametrize("kind", ["f2", "maxv"])
+@pytest.mark.parametrize("shape", [(5, 2), (3, 3), (2, 5)], ids=str)
+def test_synthesis_past_the_enumeration_bound(shape, kind):
+    """Grids with more upsets than the enumeration lists synthesize exactly,
+    with every invariant checked after every step."""
+    table = builtin_table(BidGrid(Fraction(1), *shape), kind)
+    lam = optimal_ratio(table).ratio
+    revenue = synthesize(table, lam, validate_steps=True)
+    assert verify_ls2(revenue, table, lam)
+    assert competitive_ratio(x_to_z(revenue), table).ratio == lam
 
 
 def test_x_to_z_difference_quotients():
