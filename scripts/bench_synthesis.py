@@ -3,16 +3,20 @@
 
 Each row builds a built-in benchmark table, finds its optimal ratio by the
 cut, then times ``synthesize`` at that ratio and the evaluation of the
-result (``x_to_z`` then ``competitive_ratio``).  A row passes when the
-evaluated ratio equals the optimal ratio exactly and ``verify_ls2`` holds;
-the script exits 1 if any row fails.  The rows are f2 and maxv on 8x2, 4x3
-and 3x4, and f2 on 6x3, 4x4, 16x2 and 32x2 (1,024 points, the cut's bound),
-all at delta 1.
+result (``x_to_z`` then ``competitive_ratio``).  Each row also counts the
+minimum cuts synthesis solves (calls of ``max_closure`` from its steps).  A
+row passes when the evaluated ratio equals the optimal ratio exactly and
+``verify_ls2`` holds; the script exits 1 if any row fails.  The rows are f2
+and maxv on 8x2, 4x3 and 3x4, and f2 on 6x3, 4x4, 16x2 and 32x2 (1,024
+points, the cut's bound), all at delta 1.
 
 The machine's core count and the Python and NumPy versions are recorded
-with them.  Run from the root of a source checkout:
+with them.  ``--parent FILE`` copies the rows and machine of an earlier
+output (say, of the parent commit's ``src``, run with this script) under the
+key ``parent``, so one file holds both sides.  Run from the root of a source
+checkout:
 
-    PYTHONPATH=src python scripts/bench_synthesis.py [--out FILE]
+    PYTHONPATH=src python scripts/bench_synthesis.py [--out FILE] [--parent FILE]
 """
 
 import argparse
@@ -26,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from compauction import synthesis
 from compauction.attainability import optimal_ratio
 from compauction.auctions import competitive_ratio
 from compauction.benchmarks import builtin_table
@@ -55,6 +60,22 @@ class StepCounter:
         pass
 
 
+def counting_cuts(run):
+    """``run()`` and the number of cuts synthesis solved meanwhile, counted
+    by wrapping its binding of ``max_closure``."""
+    solve, calls = synthesis.max_closure, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    synthesis.max_closure = counted
+    try:
+        return run(), calls[0]
+    finally:
+        synthesis.max_closure = solve
+
+
 def bench_row(kind: str, levels: int, n: int) -> dict:
     table = builtin_table(BidGrid(Fraction(1), levels, n), kind)
     start = time.perf_counter()
@@ -63,7 +84,7 @@ def bench_row(kind: str, levels: int, n: int) -> dict:
 
     counter = StepCounter()
     start = time.perf_counter()
-    revenue = synthesize(table, lam, observer=counter)
+    revenue, cuts = counting_cuts(lambda: synthesize(table, lam, observer=counter))
     synthesize_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -72,7 +93,7 @@ def bench_row(kind: str, levels: int, n: int) -> dict:
     return {
         "kind": kind, "grid": f"{levels}x{n}", "delta": "1", "points": levels**n,
         "ratio": str(lam), "steps": sum(counter.events.values()),
-        "steps_by_event": dict(sorted(counter.events.items())),
+        "steps_by_event": dict(sorted(counter.events.items())), "cuts": cuts,
         "optimal_s": optimal_s, "synthesize_s": synthesize_s,
         "evaluate_s": evaluate_s,
         "evaluated_equals_optimal": evaluated == lam,
@@ -83,14 +104,16 @@ def bench_row(kind: str, levels: int, n: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_synthesis.json")
+    parser.add_argument("--parent", help="earlier output to keep under 'parent'")
     args = parser.parse_args()
 
     rows = []
     for kind, levels, n in ROWS:
         rows.append(bench_row(kind, levels, n))
         row = rows[-1]
-        print(f"# {kind} {levels}x{n}: {row['steps']} steps, synthesize "
-              f"{row['synthesize_s']:.2f} s, evaluate {row['evaluate_s']:.2f} s, "
+        print(f"# {kind} {levels}x{n}: {row['steps']} steps, {row['cuts']} cuts, "
+              f"synthesize {row['synthesize_s']:.2f} s, "
+              f"evaluate {row['evaluate_s']:.2f} s, "
               f"exact {row['evaluated_equals_optimal'] and row['verify_ls2']}",
               flush=True)
 
@@ -103,6 +126,10 @@ def main() -> int:
         },
         "rows": rows,
     }
+    if args.parent:
+        with open(args.parent, encoding="utf-8") as handle:
+            parent = json.load(handle)
+        doc["parent"] = {"machine": parent["machine"], "rows": parent["rows"]}
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")

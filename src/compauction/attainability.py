@@ -9,9 +9,10 @@ bid vectors,
 where ``w`` is the equal-revenue product weight and ``S|i`` is the projection
 of ``S`` along coordinate ``i``.  Both sides are sums of per-point terms (see
 ``point_terms``), so the worst upset at ``lam`` is a maximum-weight closure,
-found by one s-t minimum cut (Picard 1976), and the optimal ratio is a
-Dinkelbach iteration over such cuts.  Upset enumeration and an exact simplex
-on the revenue linear system stay as independent oracles for the tests.
+found by one s-t minimum cut (Picard 1976) pushed by Dinic's blocking flows,
+and the optimal ratio is a Dinkelbach iteration over such cuts.  Upset
+enumeration and an exact simplex on the revenue linear system stay as
+independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -208,9 +209,14 @@ def max_closure(
     A source arc feeds each point of positive weight, a sink arc drains each
     point of negative weight, and each point pulls in its covers through arcs
     no minimum cut can take: their integer capacity exceeds all the source
-    arcs together, so every flow value stays exact at any magnitude.  After
-    Edmonds-Karp has pushed the maximum flow, the points that cannot reach the
-    sink in the residual graph form the largest maximum-weight closure.
+    arcs together, so every flow value stays exact at any magnitude.  The
+    maximum flow is pushed by Dinic's blocking flows (Dinic 1970): each phase
+    ranks the nodes by breadth-first distance from the source and saturates
+    every shortest path by depth-first search, so there are at most as many
+    phases as nodes.  The points that cannot reach the sink in the residual
+    graph then form the largest maximum-weight closure.  That set, and the
+    residual graph's closed sets that hold the source but not the sink (the
+    minimum cuts), are the same for every maximum flow.
     """
     weight = [lam.denominator * x - lam.numerator * y for x, y in zip(a, c)]
     source, sink = len(weight), len(weight) + 1
@@ -228,24 +234,49 @@ def max_closure(
             arc(k, sink, -w)
         for q in above[k]:
             arc(k, q, uncut)
-    while True:  # shortest augmenting paths, found by breadth-first search
-        via = {source: source}
+    heads = [list(arcs) for arcs in residual]  # arc heads never change
+    while True:
+        # Rank by breadth-first distance, up to the sink's: nothing ranked
+        # at or past it lies on a shortest path.
+        level = [-1] * len(residual)
+        level[source] = 0
         queue = [source]
         for u in queue:
-            for v, left in residual[u].items():
-                if left > 0 and v not in via:
-                    via[v] = u
+            if 0 <= level[sink] <= level[u]:
+                break
+            arcs, rank = residual[u], level[u] + 1
+            for v in heads[u]:
+                if level[v] < 0 and arcs[v]:
+                    level[v] = rank
                     queue.append(v)
-        if sink not in via:
+        if level[sink] < 0:
             break
-        path = [(via[sink], sink)]
-        while path[-1][0] != source:
-            v = path[-1][0]
-            path.append((via[v], v))
-        push = min(residual[u][v] for u, v in path)
-        for u, v in path:
-            residual[u][v] -= push
-            residual[v][u] += push
+        # Depth-first search along arcs one rank down, each node keeping its
+        # place in its arc list; a node with no way on leaves the ranking, and
+        # after a push the path is cut back to the tail of its first
+        # saturated arc.
+        at = [0] * len(residual)
+        path = [source]
+        while path:
+            u = path[-1]
+            if u == sink:
+                hops = list(zip(path, path[1:]))
+                push = min(residual[p][q] for p, q in hops)
+                for p, q in hops:
+                    residual[p][q] -= push
+                    residual[q][p] += push
+                first = next(k for k, (p, q) in enumerate(hops) if not residual[p][q])
+                del path[first + 1 :]
+                continue
+            arcs, out, k, rank = residual[u], heads[u], at[u], level[u] + 1
+            while k < len(out) and (not arcs[out[k]] or level[out[k]] != rank):
+                k += 1
+            at[u] = k
+            if k < len(out):
+                path.append(out[k])
+            else:
+                level[u] = -1
+                path.pop()
     drains, queue = {sink}, [sink]
     for v in queue:
         for u in residual[v]:

@@ -158,6 +158,8 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    if args.trace and args.output == "-":
+        raise FormatError("--trace needs --output FILE so the trace owns stdout")
     table = _load_table(
         args.benchmark,
         lambda grid, _: synthesis.check_synthesis_size(grid, trace=args.trace),
@@ -166,8 +168,6 @@ def _cmd_synthesize(args) -> int:
         lam = attainability.optimal_ratio(table).ratio
     else:
         lam = _parse_ratio(args.ratio)
-    if args.trace and args.output == "-":
-        raise FormatError("--trace needs --output FILE so the trace owns stdout")
     recorder = TraceRecorder(table.grid, lam) if args.trace else None
     revenue = synthesis.synthesize(table, lam, observer=recorder)
     profile = synthesis.x_to_z(revenue)

@@ -28,7 +28,8 @@ Both an upset's slack and its rate of change are sums of per-point terms, so
 no step lists upsets: the step bound is a Dinkelbach iteration over maximum
 closures of ``eps*rate - slack`` (Dinkelbach 1967), and the sets a new-tight
 event splices into the chain are read off the residual graph of the last
-closure's minimum cut (Picard and Queyranne 1980).
+closure's minimum cut (Picard and Queyranne 1980).  The state keeps the slack
+terms, which a step moves only on its direction's fibers.
 
 Each event shrinks the support, spends a budget, or grows the chain, so the
 loop terminates; when ``f`` is identically zero the accumulated ``x`` solves
@@ -97,6 +98,8 @@ class SynthesisState:
     chain: list[Upset]
     points: list[Point]  # grid points in lexicographic order: the cut's nodes
     above: list[list[int]]  # indices of each point's covers
+    index: dict[Point, int]  # each point's place in ``points``
+    slack: list[Fraction]  # each point's slack term, kept by apply_step
 
 
 @dataclass
@@ -228,28 +231,29 @@ def support_upset(state: SynthesisState) -> Upset:
     return Upset(state.grid.num_levels, state.grid.n, pts)
 
 
-def slack_shares(
-    state: SynthesisState, points: Iterable[Point] | None = None
-) -> dict[Point, Fraction]:
-    """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack.
+def slack_shares(state: SynthesisState) -> list[Fraction]:
+    """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack, in
+    ``state.points`` order, computed from ``f`` and ``g``.
 
-    An upset's slack is the sum of its members' terms; ``points`` defaults to
-    the whole grid.
+    An upset's slack is the sum of its members' terms.
     """
-    shares = {}
-    for p in state.grid.points() if points is None else points:
+    shares = []
+    for p in state.points:
         a, c = point_terms(state.grid, p, state.f[p], state.g)
-        shares[p] = state.lam * c - a
+        shares.append(state.lam * c - a)
     return shares
 
 
 def eq_slack(
-    state: SynthesisState, upset: Upset, shares: dict[Point, Fraction] | None = None
+    state: SynthesisState, upset: Upset, shares: list[Fraction] | None = None
 ) -> Fraction:
-    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset."""
+    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset.
+
+    The sum of its members' terms: the kept ones, unless ``shares`` is given.
+    """
     if shares is None:
-        shares = slack_shares(state, upset.points)
-    return sum((shares[p] for p in upset.points), Fraction(0))
+        shares = state.slack
+    return sum((shares[state.index[p]] for p in upset.points), Fraction(0))
 
 
 def pick_direction(state: SynthesisState) -> Direction:
@@ -316,12 +320,9 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
             bound_g = val
     assert bound_f is not None and bound_g is not None
 
-    shares = slack_shares(state)
     rates = rate_shares(state, d)
     zero = Fraction(0)
-    slack, rate = integer_terms(
-        [shares[p] for p in state.points], [rates.get(p, zero) for p in state.points]
-    )
+    slack, rate = integer_terms(state.slack, [rates.get(p, zero) for p in state.points])
     minus_slack, minus_rate = [-s for s in slack], [-r for r in rate]
     eps = min(bound_f, bound_g)
     while True:
@@ -332,11 +333,12 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
             sum(slack[k] for k in cut.members), sum(rate[k] for k in cut.members)
         )
 
+    drop = lam * eps
     f_hits = sorted(
         _insert_at(others, d.i, t)
         for others in d.members
         for t in range(d.cut[others], grid.num_levels)
-        if state.f[_insert_at(others, d.i, t)] == lam * eps
+        if state.f[_insert_at(others, d.i, t)] == drop
     )
     g_hits = sorted(
         others
@@ -349,7 +351,7 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
         handled = StepEvent.G_ZERO
     else:
         handled = StepEvent.NEW_TIGHT
-    index = {p: k for k, p in enumerate(state.points)}
+    index = state.index
     fibers = [
         (index[_insert_at(o, d.i, grid.top)], index[_insert_at(o, d.i, d.cut[o])])
         for o in d.members
@@ -359,31 +361,40 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
 
 
 def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
-    """Shift mass eps onto x along the direction; shrink f and g to match."""
+    """Shift mass eps onto x along the direction; shrink f and g to match.
+
+    The kept slack moves by ``-eps`` times the rate shares: up by
+    ``lam*eps*w(b_-i)*w(t)`` on each fiber point at or above the cut, and
+    down by ``lam*eps*w(b_-i)/c_i`` at the fiber's top point.
+    """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     if eps == 0:
         return
     grid = state.grid
-    lam = state.lam
+    drop = state.lam * eps
     for others in d.members:
         cl = d.cut[others]
         state.g[d.i][others] -= eps / grid.level_value(cl)
         if state.g[d.i][others] < 0:
             raise SynthesisInvariantError("mass budget went negative")
         row = state.x[d.i][others]
+        moved = drop * weight_others(grid, others)
         for t in range(cl, grid.num_levels):
             p = _insert_at(others, d.i, t)
-            state.f[p] -= lam * eps
+            state.f[p] -= drop
             if state.f[p] < 0:
                 raise SynthesisInvariantError("working benchmark went negative")
             row[t] += eps
+            state.slack[state.index[p]] += moved * weight_level(grid, t)
+        top = state.index[_insert_at(others, d.i, grid.top)]
+        state.slack[top] -= moved / grid.level_value(cl)
 
 
 def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
     """Update the chain according to the event that stopped the step."""
     if outcome.handled is StepEvent.F_ZERO:
-        support = support_upset(state)
+        support = Upset.of(state.grid, state.chain[0].points.difference(outcome.f_hits))
         rebuilt: list[Upset] = []
         for s in state.chain:
             cut = s.intersection(support)
@@ -400,7 +411,7 @@ def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
     # the grown chain is 0.  Only a least set M(p, o) can add a point p, so
     # those are the only sets the lattice lists.
     lattice = outcome.tight
-    index = {p: k for k, p in enumerate(state.points)}
+    index = state.index
     head = sum(1 << index[p] for p in state.chain[0].points)
     inner = sum(1 << index[p] for p in state.chain[1].points)
     inserted = 0
@@ -468,18 +479,16 @@ def synthesize(
         chain=[],
         points=points,
         above=above,
+        index={p: k for k, p in enumerate(points)},
+        slack=[],
     )
-    support = support_upset(state)
-    state.chain = [support, Upset.empty(grid)]
+    state.slack = slack_shares(state)
+    state.chain = [support_upset(state), Upset.empty(grid)]
     if observer is not None:
         observer.initial(state)
-    if not support.points:
-        if observer is not None:
-            observer.finished(0)
-        return RevenueTables(grid, state.x)
 
     steps = 0
-    while any(v > 0 for v in state.f.values()):
+    while state.chain[0].points:
         if steps >= max_steps:
             raise IterationLimitError(f"no termination within {max_steps} steps")
         steps += 1
@@ -510,14 +519,15 @@ def check_invariants(
     """
     grid = state.grid
 
-    shares = slack_shares(state)
-    (slack,) = integer_terms([shares[p] for p in state.points])
+    if state.slack != slack_shares(state):
+        raise SynthesisInvariantError("kept slack differs from the recomputed one")
+    (slack,) = integer_terms(state.slack)
     worst = max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
     if worst.value > 0:
         violated = sorted(state.points[k] for k in worst.members)
         raise SynthesisInvariantError(f"inequality violated for {violated}")
     for s in state.chain[1:]:
-        if s.points and eq_slack(state, s, shares) != 0:
+        if s.points and eq_slack(state, s) != 0:
             raise SynthesisInvariantError(f"chain set {sorted(s)} lost tightness")
     for a, b in zip(state.chain, state.chain[1:]):
         if not b.points < a.points:

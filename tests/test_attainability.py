@@ -9,12 +9,15 @@ from compauction.attainability import (
     CUT_POINT_CAP,
     check_attainable,
     condition_sides,
+    cover_graph,
     lp_feasible,
+    max_closure,
     optimal_ratio,
     optimal_ratio_lp,
 )
 from compauction.benchmarks import BenchmarkTable, builtin_table
 from compauction.grid import BidGrid, DomainTooLargeError, Upset, enumerate_upsets
+from compauction.ratios import expected_benchmark_discrete
 from tests.conftest import (
     random_monotone_table,
     random_symmetric_monotone_table,
@@ -244,3 +247,60 @@ def test_cut_size_bound():
         check_attainable(table, Fraction(2))
     with pytest.raises(DomainTooLargeError):
         optimal_ratio(table)
+
+
+def _random_cover_graph(rng):
+    """A small grid's cover graph, or random upward arcs on a few nodes."""
+    if rng.random() < 0.5:
+        levels, n = rng.choice([(2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (12, 1)])
+        return cover_graph(BidGrid(Fraction(1), levels, n))[1]
+    size = rng.randrange(1, 11)
+    return [sorted(rng.sample(range(k + 1, size), rng.randrange(0, min(3, size - k))))
+            for k in range(size)]
+
+
+def test_max_closure_matches_brute_force(rng):
+    """Against every closed set: the maximum, the largest maximizer, and the
+    closed sets of the residual graph, which are exactly the maximizers."""
+    for _ in range(60):
+        above = _random_cover_graph(rng)
+        size = len(above)
+        source, sink = size, size + 1
+        closed = [mask for mask in range(1 << size)
+                  if all(mask >> q & 1 for k in range(size) if mask >> k & 1
+                         for q in above[k])]
+        a = [rng.randrange(-12, 13) for _ in range(size)]
+        c = [rng.randrange(-6, 7) for _ in range(size)]
+        for lam in (Fraction(0), Fraction(1), Fraction(rng.randrange(1, 9), 3),
+                    Fraction(-5, 2)):
+            weight = [lam.denominator * x - lam.numerator * y for x, y in zip(a, c)]
+            value = {m: sum(weight[k] for k in range(size) if m >> k & 1)
+                     for m in closed}
+            best = max(value.values())
+            maximizers = {m for m in closed if value[m] == best}
+            cut = max_closure(above, a, c, lam)
+            members = sum(1 << k for k in cut.members)
+            assert cut.value == best
+            assert members in maximizers
+            assert all(m | members == members for m in maximizers)
+            comp, _, comp_reach = cut.components
+            residual_closed = {
+                m for m in range(1 << size)
+                if all(comp_reach[comp[u]] | m | 1 << source == m | 1 << source
+                       for u in [source, *(k for k in range(size) if m >> k & 1)])
+            }
+            assert residual_closed == maximizers
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize("kind", ["f2", "maxv"])
+def test_full_grid_optimum_is_the_discrete_expectation(kind, delta):
+    """Two exact routes to one optimum: when the whole grid is the witness,
+    the ratio is ``E_w[f]/n`` under the discrete equal-revenue prior, since
+    the full grid's right side sums the others' weights once per bidder."""
+    for levels, n in ((4, 2), (3, 3), (8, 2), (2, 5)):
+        grid = BidGrid(delta, levels, n)
+        table = builtin_table(grid, kind)
+        result = optimal_ratio(table)
+        assert result.witness == Upset.full(grid)
+        assert result.ratio == expected_benchmark_discrete(table) / n

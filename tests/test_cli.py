@@ -461,6 +461,23 @@ def test_synthesize_checks_its_size_before_any_cut(capsys, tmp_path, monkeypatch
             assert message in err
 
 
+def test_synthesize_trace_without_output_fails_before_any_work(capsys, monkeypatch):
+    from compauction import attainability, synthesis
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the --output check")
+
+    monkeypatch.setattr(serialize, "table_from_doc", no_work)
+    monkeypatch.setattr(attainability, "optimal_ratio", no_work)
+    monkeypatch.setattr(attainability, "check_attainable", no_work)
+    monkeypatch.setattr(synthesis, "check_attainable", no_work)
+    monkeypatch.setattr(synthesis, "max_closure", no_work)
+    for ratio in ((), ("1",)):
+        code, out, err = run(capsys, "synthesize", TWO_TIER, *ratio, "--trace")
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "--trace needs --output FILE" in err
+
+
 def test_ratios_and_simulate_sizes_are_bounded(capsys, monkeypatch):
     from compauction import ratios
 

@@ -16,7 +16,9 @@ from compauction.synthesis import (
     NotAttainableError,
     RevenueTables,
     StepEvent,
+    SynthesisInvariantError,
     TraceRecorder,
+    check_invariants,
     eq_slack,
     rate_shares,
     slack_shares,
@@ -389,6 +391,43 @@ def test_synthesis_past_the_enumeration_bound(shape, kind):
     revenue = synthesize(table, lam, validate_steps=True)
     assert verify_ls2(revenue, table, lam)
     assert competitive_ratio(x_to_z(revenue), table).ratio == lam
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize(
+    "shape", [(g.num_levels, g.n) for g in small_grids()] + [(4, 2), (3, 3)], ids=str)
+def test_kept_slack_matches_the_recomputed_slack(shape, delta, rng):
+    """``validate_steps`` compares the slack that each step moves on its
+    direction's fibers with ``slack_shares`` over the whole grid."""
+    grid = BidGrid(delta, *shape)
+    tables = [builtin_table(grid, "f2"), builtin_table(grid, "maxv")]
+    tables += [random_monotone_table(grid, rng, nonzero=True) for _ in range(2)]
+    tables.append(random_symmetric_monotone_table(grid, rng))
+    for table in tables:
+        lam = optimal_ratio(table).ratio
+        for target in (lam, lam * Fraction(5, 4)):
+            revenue = synthesize(table, target, validate_steps=True)
+            assert verify_ls2(revenue, table, target)
+
+
+def test_check_invariants_rejects_a_stale_kept_slack():
+    class KeepState:
+        def initial(self, state):
+            self.state = state
+
+        def step(self, number, state, direction, outcome):
+            pass
+
+        def finished(self, steps):
+            pass
+
+    kept = KeepState()
+    synthesize(two_tier_table(), Fraction(1), observer=kept)
+    state = kept.state
+    check_invariants(state)
+    state.slack[0] += 1
+    with pytest.raises(SynthesisInvariantError, match="kept slack"):
+        check_invariants(state)
 
 
 def test_x_to_z_difference_quotients():
