@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from compauction import lp
 from compauction.benchmarks import BenchmarkTable
@@ -47,7 +47,6 @@ class Verdict:
     attainable: bool
     lam: Fraction
     witness: Upset | None
-    method: str  # "cut": decided by one minimum cut
 
 
 @dataclass
@@ -56,7 +55,7 @@ class RatioResult:
 
     ratio: Fraction
     witness: Upset | None
-    method: str  # "cut"
+    method: ClassVar[str] = "cut"  # the only route; perfbench's trace reads it
 
 
 def point_terms(
@@ -297,9 +296,9 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
     points, above, a, c = _closure_terms(table)
     cut = max_closure(above, a, c, lam)
     if cut.value <= 0:
-        return Verdict(attainable=True, lam=lam, witness=None, method="cut")
+        return Verdict(attainable=True, lam=lam, witness=None)
     witness = Upset.of(table.grid, (points[k] for k in cut.members))
-    return Verdict(attainable=False, lam=lam, witness=witness, method="cut")
+    return Verdict(attainable=False, lam=lam, witness=witness)
 
 
 def optimal_ratio(table: BenchmarkTable) -> RatioResult:
@@ -317,7 +316,7 @@ def optimal_ratio(table: BenchmarkTable) -> RatioResult:
         cut = max_closure(above, a, c, lam)
         if cut.value == 0:
             witness = Upset.of(table.grid, (points[k] for k in cut.members))
-            return RatioResult(lam, witness, method="cut")
+            return RatioResult(lam, witness)
         members = cut.members
 
 

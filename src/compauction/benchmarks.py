@@ -86,7 +86,7 @@ def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
     if grid.n < 2:
         raise ValueError("built-in benchmarks need at least two bidders")
     formula = _FORMULAS[which]
-    levels = grid.values()
+    levels = grid.ladder
     by_sorted: dict[Point, Fraction] = {}
     values = {}
     for p in grid.points():
@@ -190,7 +190,7 @@ def limited_supply_bounds(
     grid = table.grid
     check_supply(grid, k, table.kind)
     out_grid = BidGrid(grid.delta, grid.num_levels, k)
-    levels = grid.values()
+    levels = grid.ladder
     pad = grid.n - k
     upper: dict[Point, Fraction] = {}
     lower: dict[Point, Fraction] = {}

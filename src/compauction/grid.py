@@ -103,9 +103,6 @@ class BidGrid:
             weights = weights | layer
         return weights
 
-    def values(self) -> tuple[Fraction, ...]:
-        return self.ladder
-
     def points(self) -> Iterator[Point]:
         """All bid vectors, lexicographically."""
         return itertools.product(range(self.num_levels), repeat=self.n)
@@ -165,9 +162,11 @@ def is_upward_closed(points: Iterable[Point], num_levels: int, n: int) -> bool:
 class Upset:
     """An upward-closed set of bid vectors on a ``num_levels^n`` grid.
 
-    Stored as a full membership set rather than its minimal antichain: grids
-    are tiny by construction and membership queries dominate.  Closure is
-    checked on construction; unions and intersections of upsets stay upsets.
+    Stored as a full membership set rather than its minimal antichain.  This
+    is the form in which sets leave the solvers (attainability witnesses and
+    a trace's new tight sets) and in which the enumeration oracle lists them;
+    the cuts and the synthesis chain keep bit masks over the grid points
+    instead.  Closure is checked on construction.
     """
 
     num_levels: int
@@ -202,18 +201,6 @@ class Upset:
 
     def __iter__(self) -> Iterator[Point]:
         return iter(sorted(self.points))
-
-    def union(self, other: "Upset") -> "Upset":
-        self._check_compatible(other)
-        return Upset(self.num_levels, self.n, self.points | other.points)
-
-    def intersection(self, other: "Upset") -> "Upset":
-        self._check_compatible(other)
-        return Upset(self.num_levels, self.n, self.points & other.points)
-
-    def _check_compatible(self, other: "Upset") -> None:
-        if (self.num_levels, self.n) != (other.num_levels, other.n):
-            raise ValueError("upsets live on different grids")
 
     def is_symmetric(self) -> bool:
         """Invariant under every permutation of the coordinates."""

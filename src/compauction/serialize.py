@@ -210,7 +210,7 @@ def verdict_to_doc(verdict: Verdict) -> dict:
         "attainable": verdict.attainable,
         "lambda": fraction_to_str(verdict.lam),
         "witness_upset": witness,
-        "method": verdict.method,
+        "method": "cut",
     }
 
 

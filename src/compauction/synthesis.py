@@ -9,9 +9,12 @@ mass budgets ``g_i(b_-i)`` (starting at 1), the accumulated revenue tables
     R = S_0 > S_1 > ... > S_m = empty,
 
 where R is the support of the working ``f`` and every S_j (j >= 1) keeps the
-g-weighted attainability inequality tight.  Each round picks the smallest
-coordinate ``i`` such that some ``b_-i`` projects out of ``S_1`` but not out
-of ``R`` and still has budget, finds the lowest level ``c_i(b_-i)`` where
+g-weighted attainability inequality tight.  The sets are bit masks over the
+grid points in lexicographic order (bit ``k`` is ``points[k]``, a node of
+every cut), and an upset meets the fiber of ``b_-i`` along ``i`` exactly when
+it holds the fiber's top point.  Each round picks the smallest coordinate
+``i`` such that some fiber's top point lies in ``R`` but not in ``S_1`` and
+its ``b_-i`` still has budget, finds the lowest level ``c_i(b_-i)`` where
 ``f`` is positive, and pushes mass ``eps`` onto ``x_i(b_-i, t)`` for all
 ``t >= c_i``.  Instead of growing ``x`` the update shrinks ``f`` by
 ``lam*eps`` on the same points and ``g_i`` by ``eps/c_i``, which leaves every
@@ -62,7 +65,6 @@ from compauction.grid import (
     Upset,
     check_size,
     covers,
-    project,
     weight_level,
     weight_others,
 )
@@ -95,7 +97,7 @@ class SynthesisState:
     f: dict[Point, Fraction]
     g: list[dict[Point, Fraction]]
     x: list[dict[Point, list[Fraction]]]
-    chain: list[Upset]
+    chain: list[int]  # S_0 > S_1 > ... > 0 as masks: bit k stands for points[k]
     points: list[Point]  # grid points in lexicographic order: the cut's nodes
     above: list[list[int]]  # indices of each point's covers
     index: dict[Point, int]  # each point's place in ``points``
@@ -152,9 +154,6 @@ class TightLattice:
                     found.add(least & ~(1 << source))
         return sorted(found, key=lambda s: (s.bit_count(), list(_bits(s))))
 
-    def upset(self, mask: int) -> Upset:
-        return Upset.of(self.grid, (self.points[k] for k in _bits(mask)))
-
     def listing(self) -> list[Upset]:
         """Every tight upset with positive rate, in ``enumerate_upsets`` order.
 
@@ -179,7 +178,7 @@ class TightLattice:
         index = {p: k for k, p in enumerate(self.points)}
         down = sorted(self.points, key=lambda p: (sum(p), p), reverse=True)
         tight.sort(key=lambda s: [s >> index[p] & 1 for p in down])
-        return [self.upset(s) for s in tight]
+        return [Upset.of(self.grid, _members(self.points, s)) for s in tight]
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -187,6 +186,11 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _members(points: list[Point], mask: int) -> list[Point]:
+    """The points a mask holds, in ascending bit order, which is sorted order."""
+    return [points[k] for k in _bits(mask)]
 
 
 @dataclass
@@ -225,10 +229,9 @@ def _insert_at(others: Point, i: int, t: int) -> Point:
     return others[:i] + (t,) + others[i:]
 
 
-def support_upset(state: SynthesisState) -> Upset:
-    """Points where the working benchmark is still positive."""
-    pts = frozenset(p for p, v in state.f.items() if v > 0)
-    return Upset(state.grid.num_levels, state.grid.n, pts)
+def support_upset(state: SynthesisState) -> int:
+    """The mask of the points where the working benchmark is still positive."""
+    return sum(1 << k for k, p in enumerate(state.points) if state.f[p] > 0)
 
 
 def slack_shares(state: SynthesisState) -> list[Fraction]:
@@ -245,15 +248,27 @@ def slack_shares(state: SynthesisState) -> list[Fraction]:
 
 
 def eq_slack(
-    state: SynthesisState, upset: Upset, shares: list[Fraction] | None = None
+    state: SynthesisState, mask: int, shares: list[Fraction] | None = None
 ) -> Fraction:
     """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset.
 
-    The sum of its members' terms: the kept ones, unless ``shares`` is given.
+    The sum of the terms at the mask's bits: the kept ones, unless
+    ``shares`` is given.
     """
     if shares is None:
         shares = state.slack
-    return sum((shares[state.index[p]] for p in upset.points), Fraction(0))
+    return sum((shares[k] for k in _bits(mask)), Fraction(0))
+
+
+def layer_fibers(state: SynthesisState, upper: int, lower: int, i: int) -> list[Point]:
+    """The ``b_-i`` whose fiber along ``i`` meets ``upper`` but not ``lower``.
+
+    An upset meets a fiber exactly when it holds the fiber's top point.  The
+    points come in lexicographic order, so the ``b_-i`` come out sorted.
+    """
+    top = state.grid.top
+    layer = _members(state.points, upper & ~lower)
+    return [p[:i] + p[i + 1 :] for p in layer if p[i] == top]
 
 
 def pick_direction(state: SynthesisState) -> Direction:
@@ -261,8 +276,8 @@ def pick_direction(state: SynthesisState) -> Direction:
     grid = state.grid
     head, second = state.chain[0], state.chain[1]
     for i in range(grid.n):
-        fringe = project(head, i) - project(second, i)
-        members = sorted(o for o in fringe if state.g[i][o] > 0)
+        fringe = layer_fibers(state, head, second, i)
+        members = [o for o in fringe if state.g[i][o] > 0]
         if members:
             cut = {}
             for others in members:
@@ -363,9 +378,7 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
 def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
     """Shift mass eps onto x along the direction; shrink f and g to match.
 
-    The kept slack moves by ``-eps`` times the rate shares: up by
-    ``lam*eps*w(b_-i)*w(t)`` on each fiber point at or above the cut, and
-    down by ``lam*eps*w(b_-i)/c_i`` at the fiber's top point.
+    The kept slack moves by ``-eps`` times the rate shares.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
@@ -379,27 +392,25 @@ def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
         if state.g[d.i][others] < 0:
             raise SynthesisInvariantError("mass budget went negative")
         row = state.x[d.i][others]
-        moved = drop * weight_others(grid, others)
         for t in range(cl, grid.num_levels):
             p = _insert_at(others, d.i, t)
             state.f[p] -= drop
             if state.f[p] < 0:
                 raise SynthesisInvariantError("working benchmark went negative")
             row[t] += eps
-            state.slack[state.index[p]] += moved * weight_level(grid, t)
-        top = state.index[_insert_at(others, d.i, grid.top)]
-        state.slack[top] -= moved / grid.level_value(cl)
+    for p, r in rate_shares(state, d).items():
+        state.slack[state.index[p]] -= eps * r
 
 
 def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
     """Update the chain according to the event that stopped the step."""
     if outcome.handled is StepEvent.F_ZERO:
-        support = Upset.of(state.grid, state.chain[0].points.difference(outcome.f_hits))
-        rebuilt: list[Upset] = []
+        left = state.chain[0] & ~sum(1 << state.index[p] for p in outcome.f_hits)
+        rebuilt: list[int] = []
         for s in state.chain:
-            cut = s.intersection(support)
-            if not rebuilt or rebuilt[-1] != cut:
-                rebuilt.append(cut)
+            s &= left
+            if not rebuilt or rebuilt[-1] != s:
+                rebuilt.append(s)
         state.chain = rebuilt
         return
     if outcome.handled is StepEvent.G_ZERO:
@@ -410,19 +421,15 @@ def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
     # skipped, and so is one that reaches the whole support: its rate against
     # the grown chain is 0.  Only a least set M(p, o) can add a point p, so
     # those are the only sets the lattice lists.
-    lattice = outcome.tight
-    index = state.index
-    head = sum(1 << index[p] for p in state.chain[0].points)
-    inner = sum(1 << index[p] for p in state.chain[1].points)
+    head, inner = state.chain[0], state.chain[1]
     inserted = 0
-    for fresh in lattice.least_sets(head & ~inner):
+    for fresh in outcome.tight.least_sets(head & ~inner):
         merged = (fresh & head) | inner
         if merged in (inner, head):
             continue
-        grown = lattice.upset(merged)
-        if eq_slack(state, grown) != 0:
+        if eq_slack(state, merged) != 0:
             raise SynthesisInvariantError("spliced tight set lost tightness")
-        state.chain.insert(1, grown)
+        state.chain.insert(1, merged)
         inner = merged
         inserted += 1
     if inserted == 0:
@@ -483,12 +490,12 @@ def synthesize(
         slack=[],
     )
     state.slack = slack_shares(state)
-    state.chain = [support_upset(state), Upset.empty(grid)]
+    state.chain = [support_upset(state), 0]
     if observer is not None:
         observer.initial(state)
 
     steps = 0
-    while state.chain[0].points:
+    while state.chain[0]:
         if steps >= max_steps:
             raise IterationLimitError(f"no termination within {max_steps} steps")
         steps += 1
@@ -511,11 +518,11 @@ def check_invariants(
     """Assert every invariant the procedure promises to preserve.
 
     Meant for tests and debugging: the g-weighted inequality for every upset
-    (one cut: no upset has positive ``-slack``), tightness of every chain set,
-    monotone non-negative working benchmark, budgets decreasing along each
-    chain layer, monotone non-negative revenue rows, and exact accounting
-    between the original benchmark, the working one, and the revenue
-    collected.
+    (one cut: no upset has positive ``-slack``), a strictly decreasing chain
+    of tight upsets headed by the support, monotone non-negative working
+    benchmark, budgets decreasing along each chain layer, monotone
+    non-negative revenue rows, and exact accounting between the original
+    benchmark, the working one, and the revenue collected.
     """
     grid = state.grid
 
@@ -526,11 +533,13 @@ def check_invariants(
     if worst.value > 0:
         violated = sorted(state.points[k] for k in worst.members)
         raise SynthesisInvariantError(f"inequality violated for {violated}")
-    for s in state.chain[1:]:
-        if s.points and eq_slack(state, s) != 0:
-            raise SynthesisInvariantError(f"chain set {sorted(s)} lost tightness")
+    for j, s in enumerate(state.chain):
+        if any(not s >> q & 1 for k in _bits(s) for q in state.above[k]):
+            raise SynthesisInvariantError(f"chain set S_{j} is not upward closed")
+        if j and eq_slack(state, s) != 0:
+            raise SynthesisInvariantError(f"chain set S_{j} lost tightness")
     for a, b in zip(state.chain, state.chain[1:]):
-        if not b.points < a.points:
+        if b & ~a or b == a:
             raise SynthesisInvariantError("chain is not strictly decreasing")
     if state.chain and state.chain[0] != support_upset(state):
         raise SynthesisInvariantError("chain head differs from the support")
@@ -547,7 +556,7 @@ def check_invariants(
                 raise SynthesisInvariantError(f"budget negative at i={i} {others}")
     for upper, lower in zip(state.chain, state.chain[1:]):
         for i in range(grid.n):
-            layer = sorted(project(upper, i) - project(lower, i))
+            layer = layer_fibers(state, upper, lower, i)
             for a in layer:
                 for b in layer:
                     if a != b and all(s <= t for s, t in zip(a, b)):
@@ -654,8 +663,8 @@ def _format_others(grid: BidGrid, others: Point) -> str:
     return _format_point(grid, others)
 
 
-def _format_upset(grid: BidGrid, upset: Upset) -> str:
-    return "{" + ", ".join(_format_point(grid, p) for p in sorted(upset.points)) + "}"
+def _format_set(grid: BidGrid, points: Iterable[Point]) -> str:
+    return "{" + ", ".join(_format_point(grid, p) for p in points) + "}"
 
 
 class TraceRecorder:
@@ -711,7 +720,7 @@ class TraceRecorder:
             pts = ", ".join(_format_others(grid, o) for o in outcome.g_hits)
             events.append(f"g{direction.i + 1}=0 at {pts}")
         if outcome.new_tight:
-            sets = ", ".join(_format_upset(grid, s) for s in outcome.new_tight)
+            sets = ", ".join(_format_set(grid, s) for s in outcome.new_tight)
             events.append(f"new tight {sets}")
         self.lines.append("events: " + "; ".join(events))
         self._chain(state)
@@ -725,7 +734,9 @@ class TraceRecorder:
         return "\n".join(self.lines) + "\n"
 
     def _chain(self, state: SynthesisState) -> None:
-        parts = " > ".join(_format_upset(self.grid, s) for s in state.chain)
+        parts = " > ".join(
+            _format_set(self.grid, _members(state.points, s)) for s in state.chain
+        )
         self.lines.append(f"chain: {parts}")
 
     def _tables(self, state: SynthesisState) -> None:

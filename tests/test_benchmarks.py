@@ -99,7 +99,7 @@ def test_builtin_table_runs_the_formula_once_per_sorted_vector(monkeypatch):
 )
 def test_builtin_table_equals_the_formula_everywhere(grid, kind):
     formula = {"f2": f2, "maxv": maxv}[kind]
-    levels = grid.values()
+    levels = grid.ladder
     table = builtin_table(grid, kind)
     assert list(table.values) == list(grid.points())
     for p in grid.points():
@@ -177,7 +177,7 @@ def test_limited_supply_on_top_k_only_benchmark():
     # fixed-price revenue restricted to at most two winners depends only on
     # the top two bids, so both bounds collapse onto the benchmark itself
     grid = BidGrid(Fraction(1), 2, 3)
-    levels = grid.values()
+    levels = grid.ladder
     values = {
         p: 2 * sorted((levels[t] for t in p), reverse=True)[1] for p in grid.points()
     }
@@ -214,7 +214,7 @@ def test_limited_supply_builtin_drops_to_zero():
     grid = BidGrid(Fraction(1), 2, 3)
     table = builtin_table(grid, "f2")
     _, lower = limited_supply_bounds(table, 2)
-    levels = grid.values()
+    levels = grid.ladder
     for u in lower.grid.points():
         expected = 2 * min(levels[t] for t in u)
         assert lower[u] == expected
@@ -230,7 +230,7 @@ def test_limited_supply_builtin_lookup_matches_the_permutation_route(kind):
     assert dict(upper.values) == dict(custom_upper.values)
     # the built-in lower table appends literal zeros, which no custom table
     # holds, so only the top two bids count: 2*min for f2, min for maxv
-    levels = table.grid.values()
+    levels = table.grid.ladder
     scale = 2 if kind == "f2" else 1
     for u in lower.grid.points():
         assert lower[u] == scale * min(levels[t] for t in u)
@@ -262,7 +262,7 @@ def test_limited_supply_bounds_builtin_kinds_by_their_lookups(monkeypatch):
     # at 10 bidders on two levels a custom table would expand 2^2 * 10!
     # arrangements; a built-in one reads one padded vector per output point
     grid = BidGrid(Fraction(1), 2, 10)
-    levels = grid.values()
+    levels = grid.ladder
     for kind, formula in (("f2", f2), ("maxv", maxv)):
         table = builtin_table(grid, kind)
         upper, _ = limited_supply_bounds(table, 2)

@@ -114,10 +114,8 @@ def test_verdict_and_ratio_docs():
     assert isinstance(witness, Upset)
     assert witness == verdict.witness
 
-    doc = serialize.verdict_to_doc(
-        Verdict(True, Fraction(1), None, "enumeration")
-    )
-    assert doc["witness_upset"] is None
+    doc = serialize.verdict_to_doc(Verdict(True, Fraction(1), None))
+    assert doc["witness_upset"] is None and doc["method"] == "cut"
 
     assert serialize.ratio_to_doc(RatioReport(None, (0, 0)))["ratio"] == "unbounded"
     doc = serialize.ratio_to_doc(RatioReport(Fraction(5, 4), (1, 1)))

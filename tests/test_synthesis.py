@@ -39,6 +39,16 @@ DATA = Path(__file__).parent / "data"
 H = Fraction(1, 2)
 
 
+def members(state, mask):
+    """The points a chain mask holds."""
+    return frozenset(p for k, p in enumerate(state.points) if mask >> k & 1)
+
+
+def mask_of(state, upset):
+    """An upset as a mask over ``state.points``."""
+    return sum(1 << state.index[p] for p in upset.points)
+
+
 class Snapshots:
     """Observer keeping a deep copy of the state after every step."""
 
@@ -55,7 +65,7 @@ class Snapshots:
         self.f.append(dict(state.f))
         self.g.append([dict(t) for t in state.g])
         self.x.append(copy.deepcopy(state.x))
-        self.chains.append([s.points for s in state.chain])
+        self.chains.append([members(state, s) for s in state.chain])
 
     def initial(self, state):
         self._keep(state)
@@ -186,18 +196,19 @@ def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
     apply_step = synthesis.apply_step
     moved = []
 
-    def rate(rates, upset):
-        return sum((rates.get(p, 0) for p in upset.points), Fraction(0))
+    def rate(rates, points):
+        return sum((rates.get(p, 0) for p in points), Fraction(0))
 
     def checked_step(state, d, eps):
         rates = rate_shares(state, d)
-        assert all(rate(rates, s) == 0 for s in state.chain)
+        assert all(rate(rates, members(state, s)) == 0 for s in state.chain)
         before = slack_shares(state)
         apply_step(state, d, eps)
         after = slack_shares(state)
         for upset in enumerate_upsets(grid):
-            assert eq_slack(state, upset, after) == (
-                eq_slack(state, upset, before) - eps * rate(rates, upset)
+            mask = mask_of(state, upset)
+            assert eq_slack(state, mask, after) == (
+                eq_slack(state, mask, before) - eps * rate(rates, upset.points)
             )
         moved.append(eps)
 
@@ -225,7 +236,8 @@ def scan_step(state, d):
     for upset in enumerate_upsets(grid):
         rate = sum((rates.get(p, 0) for p in upset.points), Fraction(0))
         if rate > 0:
-            binding.append((eq_slack(state, upset, shares) / rate, upset))
+            slack = eq_slack(state, mask_of(state, upset), shares)
+            binding.append((slack / rate, upset))
     eps = min([bound_f, bound_g] + [e for e, _ in binding])
     f_hits = sorted(synthesis._insert_at(o, d.i, t) for o, t in fibers
                     if state.f[synthesis._insert_at(o, d.i, t)] == lam * eps)
@@ -236,11 +248,11 @@ def scan_step(state, d):
     return eps, f_hits, g_hits, handled, [u for e, u in binding if e == eps]
 
 
-def scan_chain(chain, new_tight):
+def scan_chain(state, new_tight):
     """The chain after a new-tight event, splicing in every listed set."""
-    head, chain = chain[0], list(chain)
+    head, chain = state.chain[0], list(state.chain)
     for fresh in sorted(new_tight, key=lambda s: (len(s), sorted(s.points))):
-        merged = fresh.intersection(head).union(chain[1])
+        merged = (mask_of(state, fresh) & head) | chain[1]
         if merged not in (chain[1], head):
             chain.insert(1, merged)
     return chain
@@ -262,7 +274,7 @@ def synthesize_against_the_scan(tables, monkeypatch):
         return outcome
 
     def checked_event(state, outcome):
-        expected = scan_chain(state.chain, scanned.pop(id(outcome)))
+        expected = scan_chain(state, scanned.pop(id(outcome)))
         handle_event(state, outcome)
         if outcome.handled is StepEvent.NEW_TIGHT:
             assert state.chain == expected
@@ -427,6 +439,57 @@ def test_check_invariants_rejects_a_stale_kept_slack():
     check_invariants(state)
     state.slack[0] += 1
     with pytest.raises(SynthesisInvariantError, match="kept slack"):
+        check_invariants(state)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ("head", "chain head differs from the support"),
+        ("repeated", "chain is not strictly decreasing"),
+        ("swapped", "chain is not strictly decreasing"),
+        ("loose", "lost tightness"),
+        ("open", "not upward closed"),
+    ],
+)
+def test_check_invariants_rejects_a_broken_chain(corrupt, message):
+    """A mid-run chain, full > {(1,0),(1,1)} > {(1,1)} > empty, broken in one
+    way at a time."""
+
+    class KeepFirstStep:
+        def initial(self, state):
+            pass
+
+        def step(self, number, state, direction, outcome):
+            if number == 1:
+                self.state = copy.deepcopy(state)
+
+        def finished(self, steps):
+            pass
+
+    kept = KeepFirstStep()
+    synthesize(two_tier_table(), Fraction(1), observer=kept)
+    state = kept.state
+
+    def mask(*points):
+        return sum(1 << state.index[p] for p in points)
+
+    assert state.chain == [mask(*G22.points()), mask((1, 0), (1, 1)), mask((1, 1)), 0]
+    check_invariants(state)
+    chain = state.chain
+    if corrupt == "head":  # still closed and above S_1, but not the support
+        chain[0] = mask((0, 1), (1, 0), (1, 1))
+    elif corrupt == "repeated":
+        chain.insert(1, chain[1])
+    elif corrupt == "swapped":
+        chain[1], chain[2] = chain[2], chain[1]
+    elif corrupt == "loose":  # closed and between its neighbours, slack 1/4
+        chain[1] = mask((0, 1), (1, 0), (1, 1))
+        assert eq_slack(state, chain[1]) == Fraction(1, 4)
+    else:  # below S_1 and tight, but (1,0) lacks its cover (1,1)
+        chain[2] = mask((1, 0))
+        assert eq_slack(state, chain[2]) == 0
+    with pytest.raises(SynthesisInvariantError, match=message):
         check_invariants(state)
 
 
