@@ -9,8 +9,12 @@ Three layers are timed, each as the median (and minimum) of several runs:
   ``expectations`` workload in ``perfbench/``, and 24 and 25 on either side
   of the widest row ``ratios`` sorts by its comparator network;
 * ``mc_expected`` with 10^6 samples in 50 blocks, for the same n;
-* ``builtin_table`` for f2 and maxv on 121x2 (delta 1/10), 129x2
-  (delta 1/16) and 2x16 (delta 1).
+* the exact grid sums: ``builtin_table`` for f2 and maxv, then
+  ``expected_benchmark_discrete`` of that table, and ``check_gn_tight``, on
+  121x2 (delta 1/10) and 129x2 (delta 1/16), the fine grids of the
+  ``expectations`` workload, and 301x2 (delta 1/20), acceptance criterion
+  8's grid; ``builtin_table`` alone on 2x16 and 4x8 (delta 1), many bidders
+  on few sorted vectors.
 
 Each n of the first two layers is timed in a fresh child process, one at a
 time, so no row inherits the allocator state an earlier row left behind.
@@ -35,6 +39,8 @@ from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid
 from compauction.ratios import (
     EqualRevenueSampler,
+    check_gn_tight,
+    expected_benchmark_discrete,
     f2_statistic,
     maxv_statistic,
     mc_expected,
@@ -43,9 +49,11 @@ from compauction.ratios import (
 BIDDERS = (2, 3, 4, 5, 8, 12, 16, 24, 25, 32, 64, 128, 256)
 STATISTICS = {"f2": f2_statistic, "maxv": maxv_statistic}
 MC_SAMPLES, MC_BLOCKS = 10**6, 50
-TABLE_GRIDS = ((Fraction(1, 10), 121, 2), (Fraction(1, 16), 129, 2), (Fraction(1), 2, 16))
+SUM_GRIDS = ((Fraction(1, 10), 121, 2), (Fraction(1, 16), 129, 2),
+             (Fraction(1, 20), 301, 2))
+TABLE_GRIDS = SUM_GRIDS + ((Fraction(1), 2, 16), (Fraction(1), 4, 8))
 BLOCK_REPEATS = 41  # runs of each statistic, each on a fresh block
-SLOW_REPEATS = 3  # runs of each mc_expected and builtin_table call
+SLOW_REPEATS = 3  # runs of each mc_expected call and grid sum
 
 
 def timed(fn, repeats: int, prepare=lambda: ()) -> dict:
@@ -83,6 +91,20 @@ def mc_rows(n: int) -> list[dict]:
     return found
 
 
+def grid_rows(label: str, fn, grids, variants) -> list[dict]:
+    """``fn(grid, variant)`` on each grid, for each variant."""
+    found = []
+    for delta, levels, n in grids:
+        grid = BidGrid(delta, levels, n)
+        for variant in variants:
+            found.append({"kind": variant, "grid": f"{levels}x{n}", "delta": str(delta),
+                          "points": levels**n,
+                          **timed(fn, SLOW_REPEATS, lambda: (grid, variant))})
+            print(f"# {label} {variant} {levels}x{n}: "
+                  f"{found[-1]['median_s'] * 1e3:.1f} ms", flush=True)
+    return found
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_expectations.json")
@@ -105,15 +127,14 @@ def main() -> None:
                 print(f"# mc_expected {row['stat']} n={n}: {row['median_s']:.3f} s",
                       flush=True)
 
-    tables = []
-    for delta, levels, n in TABLE_GRIDS:
-        grid = BidGrid(delta, levels, n)
-        for kind in STATISTICS:
-            tables.append({"kind": kind, "grid": f"{levels}x{n}", "delta": str(delta),
-                           "points": levels**n,
-                           **timed(builtin_table, SLOW_REPEATS, lambda: (grid, kind))})
-            print(f"# builtin_table {kind} {levels}x{n}: "
-                  f"{tables[-1]['median_s']:.3f} s", flush=True)
+    tables = grid_rows("builtin_table", builtin_table, TABLE_GRIDS, STATISTICS)
+    sums = grid_rows(
+        "expected_benchmark_discrete",
+        lambda grid, kind: expected_benchmark_discrete(builtin_table(grid, kind)),
+        SUM_GRIDS, STATISTICS)
+    tightness = grid_rows(
+        "check_gn_tight", lambda grid, _: check_gn_tight(grid.n, grid),
+        SUM_GRIDS, ("f2",))
 
     doc = {
         "machine": {
@@ -126,6 +147,8 @@ def main() -> None:
         "statistic_block": blocks,
         "mc_expected": mc,
         "builtin_table": tables,
+        "expected_benchmark_discrete": sums,
+        "check_gn_tight": tightness,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)

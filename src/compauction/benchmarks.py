@@ -9,6 +9,8 @@ Two built-in benchmarks are provided, both written on the sorted bids
 A :class:`BenchmarkTable` tabulates any non-negative monotone benchmark on a
 grid; user-supplied tables arrive as explicit values and are validated, since
 the attainability characterization is only meaningful for monotone targets.
+Built-in tables are symmetric, so they hold one value per sorted bid vector
+(:class:`SortedValues`) and read any point through its sort.
 """
 
 from __future__ import annotations
@@ -16,15 +18,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from compauction.grid import BidGrid, DomainTooLargeError, Point, covers
+from compauction.grid import (
+    BidGrid,
+    DomainTooLargeError,
+    Point,
+    arrangements,
+    covers,
+)
 
 BUILTIN_KINDS = ("f2", "maxv")
 
 # Most table reads ``limited_supply_bounds`` may make: one per output point
-# for a built-in kind, n! arrangements per point for a custom table; 9
-# bidders on two levels at k = 2 make 1.45 * 10^6 and take 0.4 s.
+# for a built-in kind, at most n!/(n-k+1)! + n!/(n-k)! arrangements per
+# point for a custom table; 6 bidders on 8 levels at k = 4 make at most
+# 1.97 * 10^6 and take 1.4 s.
 MAX_ARRANGEMENTS = 2 * 10**6
 
 RationalLike = Fraction | int
@@ -49,14 +58,39 @@ def maxv(values: Sequence[RationalLike]) -> Fraction:
 _FORMULAS = {"f2": f2, "maxv": maxv}
 
 
+class SortedValues(Mapping[Point, Fraction]):
+    """Read-only values of a symmetric table, one per sorted vector.
+
+    ``nodes`` maps each ascending level vector to its value; a point reads
+    the value of its sort, so all arrangements of a vector share one object.
+    As a mapping it is the full table: iteration yields ``grid.points()``
+    in lexicographic order and ``len`` is ``num_levels**n`` (which, as for
+    ``range``, raises ``OverflowError`` past ``sys.maxsize``).
+    """
+
+    def __init__(self, grid: BidGrid, nodes: dict[Point, Fraction]) -> None:
+        self.grid = grid
+        self.nodes = nodes
+
+    def __getitem__(self, point: Point) -> Fraction:
+        return self.nodes[tuple(sorted(point))]
+
+    def __iter__(self) -> Iterator[Point]:
+        return self.grid.points()
+
+    def __len__(self) -> int:
+        return self.grid.num_levels**self.grid.n
+
+
 @dataclass(frozen=True)
 class BenchmarkTable:
     """A benchmark tabulated at every grid point.
 
-    ``values`` maps each level-index vector to a rational.  ``kind`` records
-    whether the table came from a built-in formula, which lets derived
-    constructions (limited supply, coordinate pinning) fall back to the
-    formula where a literal table lookup is impossible.
+    ``values`` maps each level-index vector to a rational; a built-in table
+    holds them as :class:`SortedValues`, one per sorted vector.  ``kind``
+    records whether the table came from a built-in formula, which lets
+    derived constructions (limited supply, coordinate pinning) fall back to
+    the formula where a literal table lookup is impossible.
     """
 
     grid: BidGrid
@@ -76,25 +110,51 @@ class BenchmarkTable:
         return all(v == 0 for v in self.values.values())
 
 
-def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
-    """Tabulate one of the built-in benchmarks at every grid point.
+def builtin_numerators(grid: BidGrid, which: str) -> tuple[dict[Point, int], int]:
+    """A built-in benchmark at every sorted vector, as integers over one denominator.
 
-    The formulas are symmetric, so each runs once per sorted index vector.
+    With ``1 + delta = P/Q`` in lowest terms and ``N`` the top level, the
+    ladder times ``Q^N`` is the increasing integer ladder ``P^t Q^(N-t)``.
+    Both formulas are positively 1-homogeneous and read the bids only
+    through their order, so on an ascending vector ``a`` the benchmark is
+    ``max_j (top - j) P^(a_j) Q^(N-a_j)`` over ``Q^N``, ``j < n-1``, with
+    ``top = n`` for f2 and ``n-1`` for maxv (``k * b_(k)`` and
+    ``k * b_(k+1)`` on the descending order).  Returns the numerators keyed
+    by ascending vector, ``combinations_with_replacement`` order, and
+    ``Q^N``.
     """
     if which not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin benchmark {which!r}")
     if grid.n < 2:
         raise ValueError("built-in benchmarks need at least two bidders")
-    formula = _FORMULAS[which]
-    levels = grid.ladder
-    by_sorted: dict[Point, Fraction] = {}
-    values = {}
-    for p in grid.points():
-        key = tuple(sorted(p))
-        if key not in by_sorted:
-            by_sorted[key] = formula([levels[t] for t in key])
-        values[p] = by_sorted[key]
-    return BenchmarkTable(grid, values, kind=which)
+    ratio = 1 + grid.delta
+    P, Q, N = ratio.numerator, ratio.denominator, grid.top
+    ladder = [P**t * Q ** (N - t) for t in range(grid.num_levels)]
+    top = grid.n if which == "f2" else grid.n - 1
+    numerators = {}
+    for key in itertools.combinations_with_replacement(range(len(ladder)), grid.n):
+        numerators[key] = max((top - j) * ladder[t] for j, t in enumerate(key[:-1]))
+    return numerators, Q**N
+
+
+def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
+    """Tabulate one of the built-in benchmarks on ``C(L+n-1, n)`` sorted vectors.
+
+    The formulas are symmetric, so the table is a :class:`SortedValues`
+    over the integer numerators of :func:`builtin_numerators`, and every
+    arrangement of a vector reads the same object; no work is done per grid
+    point.  Each value is some ``top - j`` times a level, so nodes of equal
+    value share one ``Fraction`` too: at most ``(n - 1) L`` are built.
+    """
+    numerators, den = builtin_numerators(grid, which)
+    shared: dict[int, Fraction] = {}
+    nodes = {}
+    for key, num in numerators.items():
+        value = shared.get(num)
+        if value is None:
+            value = shared[num] = Fraction(num, den)
+        nodes[key] = value
+    return BenchmarkTable(grid, SortedValues(grid, nodes), kind=which)
 
 
 def check_monotone(
@@ -148,16 +208,22 @@ def check_supply(grid: BidGrid, k: int, kind: str) -> None:
     """Reject a supply ``k`` outside ``[2, n)`` or past ``MAX_ARRANGEMENTS``.
 
     ``limited_supply_bounds`` makes one lookup at each of the ``levels^k``
-    output points of a built-in ``kind``, and expands the ``n!``
-    arrangements of a padded bid vector at each point of any other table;
-    ``n!`` is multiplied in factor by factor, so a large ``n`` stops early.
+    output points of a built-in ``kind``.  For any other table it reads the
+    distinct arrangements of two padded vectors at each point: the raised
+    one repeats one level ``pad + 1 = n - k + 1`` times, the dropped one
+    ``pad`` times, so together they have at most
+    ``n!/(pad+1)! + n!/pad! = (pad + 2) * n!/(pad+1)!`` arrangements.  That
+    product is multiplied in factor by factor, so a large ``n`` stops early.
     """
     if not 2 <= k < grid.n:
         raise ValueError(f"supply k must satisfy 2 <= k < {grid.n}, got {k}")
     count, per_point = grid.num_levels**k, ""
     if kind not in BUILTIN_KINDS:
-        per_point = f" times {grid.n}! arrangements"
-        for m in range(2, grid.n + 1):
+        pad = grid.n - k
+        per_point = (
+            f" times {grid.n}!/{pad + 1}! + {grid.n}!/{pad}! arrangements"
+        )
+        for m in (pad + 2, *range(pad + 2, grid.n + 1)):
             count *= m
             if count > MAX_ARRANGEMENTS:
                 break
@@ -202,13 +268,9 @@ def limited_supply_bounds(
             formula = _FORMULAS[table.kind]
             lower[u] = formula([levels[t] for t in s] + [Fraction(0)] * pad)
         else:
-            upper[u] = max(
-                table[perm] for perm in set(itertools.permutations(raised))
-            )
+            upper[u] = max(table[perm] for perm in arrangements(raised))
             dropped = s + (0,) * pad
-            lower[u] = min(
-                table[perm] for perm in set(itertools.permutations(dropped))
-            )
+            lower[u] = min(table[perm] for perm in arrangements(dropped))
     return (
         BenchmarkTable(out_grid, upper, kind="custom"),
         BenchmarkTable(out_grid, lower, kind="custom"),

@@ -152,6 +152,45 @@ def covers(point: Point, top: int) -> Iterator[Point]:
             yield point[:j] + (t + 1,) + point[j + 1 :]
 
 
+def orbit_size(point: Point) -> int:
+    """Number of distinct arrangements of ``point``: ``n!/prod m_t!``.
+
+    ``m_t`` counts the coordinates at level ``t``.  Walking the sorted
+    coordinates, the ``i``-th one (from 1) multiplies in ``i`` and divides
+    out its place ``r`` within its run of equal levels, so the running value
+    is always the multinomial of the prefix.
+    """
+    key = sorted(point)
+    size = run = 1
+    for i in range(1, len(key)):
+        run = run + 1 if key[i] == key[i - 1] else 1
+        size = size * (i + 1) // run
+    return size
+
+
+def arrangements(point: Point) -> Iterator[Point]:
+    """Every distinct arrangement of ``point`` once, lexicographically.
+
+    Knuth's Algorithm L (TAOCP vol. 4A, 7.2.1.2) steps a sorted vector to
+    its lexicographic successor.  Equal coordinates never trade places, so
+    a vector with repeated levels yields ``orbit_size`` tuples and no
+    ``n!`` intermediate is built.
+    """
+    a = sorted(point)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = len(a) - 1
+        while a[j] >= a[m]:
+            m -= 1
+        a[j], a[m] = a[m], a[j]
+        a[j + 1 :] = a[:j:-1]
+
+
 def is_upward_closed(points: Iterable[Point], num_levels: int, n: int) -> bool:
     """True iff the set is closed under raising any coordinate by one level."""
     pts = frozenset(points)

@@ -27,12 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from compauction.benchmarks import BenchmarkTable, builtin_table
-from compauction.grid import BidGrid
+from compauction.benchmarks import BenchmarkTable, SortedValues, builtin_numerators
+from compauction.grid import BidGrid, Point, orbit_size
 
 
 def lambda_n(n: int) -> Fraction:
@@ -276,28 +276,58 @@ def mc_expected(
     return estimate, error
 
 
+def _weighted_sum(
+    grid: BidGrid, terms: Iterable[tuple[Point, int]], den: int
+) -> Fraction:
+    """``sum w(b) c / den`` over the ``(b, c)`` pairs of ``terms``.
+
+    With ``1 + delta = P/Q`` the level weights are ``(P-Q) Q^t P^(N-t)``
+    below the top and ``Q^N P`` at it, over ``P^(N+1)``.  Their product over
+    a vector with level sum ``s`` and ``m`` coordinates at the top is
+    ``(P-Q)^(n-m) Q^s P^(nN-s+m)``: it depends on ``(s, m)`` alone, and is
+    the same on every arrangement of ``b``.  So the numerators are added up
+    per ``(s, m)``, fewer than ``(n N + 1)(n + 1)`` classes, and each class
+    is multiplied by its weight once.
+    """
+    ratio = 1 + grid.delta
+    P, Q = ratio.numerator, ratio.denominator
+    n, N = grid.n, grid.top
+    classes: dict[tuple[int, int], int] = {}
+    for point, c in terms:
+        cls = (sum(point), point.count(N))
+        classes[cls] = classes.get(cls, 0) + c
+    total = sum(
+        (P - Q) ** (n - m) * Q**s * P ** (n * N - s + m) * c
+        for (s, m), c in classes.items()
+    )
+    return Fraction(total, P ** ((N + 1) * n) * den)
+
+
 def expected_benchmark_discrete(table: BenchmarkTable) -> Fraction:
     """Exact grid expectation ``sum_b w(b) f(b)`` under the discrete prior.
 
-    Accumulated as one big integer over a common denominator: the level
-    weights are ``(P-Q) Q^t P^(N-t)`` and ``Q^N P`` over ``P^(N+1)`` where
-    ``1 + delta = P/Q``, so only the table values contribute extra
-    denominators.  This keeps the quadratic-size sums of refinement tests
-    (hundreds of levels) in integer arithmetic.
+    Accumulated as one big integer over a common denominator: only the
+    table values add denominators to the ladder's, and the weights are
+    taken once per class of vectors (:func:`_weighted_sum`).  The weight is
+    symmetric, so a :class:`SortedValues` table contributes each ascending
+    vector's value once, times its orbit ``n!/prod m_t!`` (``m_t``
+    coordinates at level ``t``): ``C(L+n-1, n)`` terms instead of ``L^n``.
+    Any other table contributes every point.  This keeps the quadratic-size
+    sums of refinement tests (hundreds of levels) in integer arithmetic.
     """
-    grid = table.grid
-    ratio = 1 + grid.delta
-    P, Q = ratio.numerator, ratio.denominator
-    N = grid.top
-    level_num = [(P - Q) * Q**t * P ** (N - t) for t in range(N)] + [Q**N * P]
-    value_den = math.lcm(*(v.denominator for v in table.values.values()))
-    total = 0
-    for point, value in table.values.items():
-        w = 1
-        for t in point:
-            w *= level_num[t]
-        total += w * (value.numerator * (value_den // value.denominator))
-    return Fraction(total, P ** ((N + 1) * grid.n) * value_den)
+    values = table.values
+    if isinstance(values, SortedValues):
+        terms = [(key, orbit_size(key), v) for key, v in values.nodes.items()]
+    else:
+        terms = [(p, 1, v) for p, v in values.items()]
+    dens = {v.denominator for _, _, v in terms}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return _weighted_sum(
+        table.grid,
+        ((p, count * v.numerator * scale[v.denominator]) for p, count, v in terms),
+        den,
+    )
 
 
 @dataclass
@@ -319,20 +349,25 @@ class RestrictedTightness:
 def check_gn_tight(n: int, grid: BidGrid) -> RestrictedTightness:
     """Grid expectations of the pinned benchmark and its complement.
 
-    Exact sums; how close they land to the targets depends on the grid
-    resolution, so tolerances belong to the caller.
+    ``max(n+1, f)`` and ``max(0, n+1-f)`` are built as integer numerators
+    over f2's denominator ``Q^N`` (:func:`builtin_numerators`), one per
+    ascending vector, and each is weighted by its orbit ``n!/prod m_t!``:
+    both are symmetric, as f2 is.  Exact sums; how close they land to the
+    targets depends on the grid resolution, so tolerances belong to the
+    caller.
     """
     if grid.n != n or n < 2:
         raise ValueError("grid must carry the same n >= 2 bidders")
-    base = builtin_table(grid, "f2")
-    shift = Fraction(n + 1)
-    g_vals = {p: max(shift, v) for p, v in base.values.items()}
-    h_vals = {p: max(Fraction(0), shift - v) for p, v in base.values.items()}
-    g_sum = expected_benchmark_discrete(BenchmarkTable(grid, g_vals))
-    h_sum = expected_benchmark_discrete(BenchmarkTable(grid, h_vals))
+    numerators, den = builtin_numerators(grid, "f2")
+    shift = (n + 1) * den
+    g_terms, h_terms = [], []
+    for key, num in numerators.items():
+        count = orbit_size(key)
+        g_terms.append((key, count * max(shift, num)))
+        h_terms.append((key, count * max(0, shift - num)))
     return RestrictedTightness(
-        g_sum=g_sum,
+        g_sum=_weighted_sum(grid, g_terms, den),
         g_target=lambda_n(n + 1) * n,
-        h_sum=h_sum,
+        h_sum=_weighted_sum(grid, h_terms, den),
         h_target=(lambda_n(n + 1) - lambda_n(n)) * n,
     )

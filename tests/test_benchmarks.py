@@ -1,5 +1,7 @@
 """Benchmark formulas, tables, and derived constructions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from compauction.benchmarks import (
     maxv,
     validate_table,
 )
-from compauction.grid import BidGrid, DomainTooLargeError
+from compauction.grid import BidGrid, DomainTooLargeError, arrangements
 from tests.conftest import random_monotone_table, small_grids, two_tier_table
 
 G22 = BidGrid(Fraction(1), 2, 2)
@@ -74,23 +76,42 @@ def test_builtin_tables_monotone_and_symmetric(grid, kind):
 
 
 def test_builtin_table_runs_the_formula_once_per_sorted_vector(monkeypatch):
-    calls = []
+    def full_grid(self):
+        raise AssertionError("builtin_table walked every grid point")
 
-    def counted(formula):
-        def wrapped(values):
-            calls.append(tuple(values))
-            return formula(values)
-
-        return wrapped
-
-    monkeypatch.setattr(
-        benchmarks, "_FORMULAS", {k: counted(f) for k, f in benchmarks._FORMULAS.items()}
-    )
     # C(levels + n - 1, n) sorted vectors: 17 on 2 levels x 16, 20 on 4 x 3
     for levels, n, expected in ((2, 16, 17), (4, 3, 20)):
-        calls.clear()
-        builtin_table(BidGrid(Fraction(1), levels, n), "f2")
-        assert len(calls) == len(set(calls)) == expected
+        grid = BidGrid(Fraction(1), levels, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(BidGrid, "points", full_grid)
+            table = builtin_table(grid, "f2")
+        nodes = table.values.nodes
+        assert len(nodes) == expected
+        assert all(list(key) == sorted(key) for key in nodes)
+        assert len(table.values) == levels**n
+
+
+def test_builtin_table_on_a_grid_past_any_dict():
+    # 2^40 points, 41 sorted vectors: reads sort the point, nothing is expanded
+    grid = BidGrid(Fraction(1), 2, 40)
+    table = builtin_table(grid, "f2")
+    assert len(table.values) == 2**40 and len(table.values.nodes) == 41
+    levels = grid.ladder
+    rng = random.Random(40)
+    for _ in range(50):
+        p = tuple(rng.randrange(2) for _ in range(40))
+        assert table[p] == f2([levels[t] for t in p])
+    assert table[(0,) * 40] == 40 and table[(1,) * 40] == 80
+    assert (0,) * 39 not in table.values and (2,) + (0,) * 39 not in table.values
+
+
+def test_builtin_table_shares_one_value_per_sorted_vector():
+    table = builtin_table(BidGrid(Fraction(1, 3), 4, 3), "maxv")
+    for p in table.grid.points():
+        for q in arrangements(p):
+            assert table.values[q] is table.values[p]
+    assert dict(table.values) == {p: table[p] for p in table.grid.points()}
+    assert table.values == dict(table.values)
 
 
 @pytest.mark.parametrize("kind", ["f2", "maxv"])
@@ -245,36 +266,65 @@ def test_limited_supply_invalid_k():
 
 
 def test_limited_supply_counts_arrangements_first(monkeypatch):
-    import itertools
-
     # each padded vector stands for its own single arrangement, so the sizes
     # the guard admits run instantly and the ones it rejects never start
-    monkeypatch.setattr(itertools, "permutations", lambda v: [v])
-    grid = BidGrid(Fraction(1), 2, 9)
+    monkeypatch.setattr(benchmarks, "arrangements", lambda v: [v])
+    grid = BidGrid(Fraction(1), 2, 8)
     table = BenchmarkTable(grid, builtin_table(grid, "f2").values, kind="custom")
-    upper, _ = limited_supply_bounds(table, 2)  # 2^2 * 9! arrangements
-    assert upper.grid.n == 2
+    upper, _ = limited_supply_bounds(table, 6)  # 2^6 * (8!/3! + 8!/2!) = 1.7e6
+    assert upper.grid.n == 6
+
+    def refuse(vector):
+        raise AssertionError("an oversized reduction started")
+
+    monkeypatch.setattr(benchmarks, "arrangements", refuse)
     with pytest.raises(DomainTooLargeError, match="arrangement cap"):
-        limited_supply_bounds(table, 3)  # 2^3 * 9!
+        limited_supply_bounds(table, 7)  # 2^7 * (8!/2! + 8!/1!) = 7.7e6
+    # the count is exact: 2^3 * (5!/3! + 5!/2!) = 640 at n = 5, k = 3
+    small = BidGrid(Fraction(1), 2, 5)
+    monkeypatch.setattr(benchmarks, "MAX_ARRANGEMENTS", 640)
+    benchmarks.check_supply(small, 3, "custom")
+    monkeypatch.setattr(benchmarks, "MAX_ARRANGEMENTS", 639)
+    with pytest.raises(DomainTooLargeError, match="5!/3! \\+ 5!/2! arrangements"):
+        benchmarks.check_supply(small, 3, "custom")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_limited_supply_distinct_arrangements_match_the_permutation_route(rng, n):
+    # asymmetric tables: the extremes over every permutation of the padded
+    # vectors, each arrangement once or n! times over, agree
+    grid = BidGrid(Fraction(1), 2, n)
+    for _ in range(10):
+        table = random_monotone_table(grid, rng)
+        for k in range(2, n):
+            upper, lower = limited_supply_bounds(table, k)
+            for u in upper.grid.points():
+                s = tuple(sorted(u, reverse=True))
+                raised = s + (s[-1],) * (n - k)
+                dropped = s + (0,) * (n - k)
+                perms = itertools.permutations
+                assert upper[u] == max(table[q] for q in set(perms(raised)))
+                assert lower[u] == min(table[q] for q in set(perms(dropped)))
 
 
 def test_limited_supply_bounds_builtin_kinds_by_their_lookups(monkeypatch):
-    # at 10 bidders on two levels a custom table would expand 2^2 * 10!
-    # arrangements; a built-in one reads one padded vector per output point
+    # at 10 bidders on two levels and k = 8 a custom table would read up to
+    # 2^8 * (10!/3! + 10!/2!) arrangements; a built-in one reads one padded
+    # vector per output point
     grid = BidGrid(Fraction(1), 2, 10)
     levels = grid.ladder
     for kind, formula in (("f2", f2), ("maxv", maxv)):
         table = builtin_table(grid, kind)
-        upper, _ = limited_supply_bounds(table, 2)
+        upper, _ = limited_supply_bounds(table, 8)
         for u in upper.grid.points():
-            raised = sorted(u, reverse=True) + [min(u)] * 8
+            raised = sorted(u, reverse=True) + [min(u)] * 2
             assert upper[u] == formula([levels[t] for t in raised])
         as_custom = BenchmarkTable(grid, table.values, kind="custom")
-        with pytest.raises(DomainTooLargeError, match="10! arrangements"):
-            limited_supply_bounds(as_custom, 2)
+        with pytest.raises(DomainTooLargeError, match="10!/3! \\+ 10!/2! arrangements"):
+            limited_supply_bounds(as_custom, 8)
     monkeypatch.setattr(benchmarks, "MAX_ARRANGEMENTS", 3)
-    with pytest.raises(DomainTooLargeError, match="2\\^2 points are above"):
-        limited_supply_bounds(builtin_table(grid, "f2"), 2)
+    with pytest.raises(DomainTooLargeError, match="2\\^8 points are above"):
+        limited_supply_bounds(builtin_table(grid, "f2"), 8)
 
 
 def test_fix_lowest_coordinate_identity():

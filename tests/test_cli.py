@@ -514,8 +514,7 @@ def test_ratios_and_simulate_sizes_are_bounded(capsys, monkeypatch):
 
 
 def test_reduce_counts_its_arrangements_before_any_work(capsys, tmp_path, monkeypatch):
-    import itertools
-
+    from compauction import benchmarks
     from compauction.benchmarks import BenchmarkTable, builtin_table
     from compauction.grid import BidGrid
 
@@ -529,9 +528,10 @@ def test_reduce_counts_its_arrangements_before_any_work(capsys, tmp_path, monkey
         custom = BenchmarkTable(grid, builtin_table(grid, "f2").values, kind="custom")
         docs[n] = serialize.dumps(serialize.table_to_doc(custom))
     monkeypatch.setattr(serialize, "table_from_doc", refuse)
-    monkeypatch.setattr(itertools, "permutations", refuse)
-    # a custom table expands n! arrangements at each of the 2^k points
-    for n, k in ((10, 2), (9, 3)):
+    monkeypatch.setattr(benchmarks, "arrangements", refuse)
+    # a custom table reads up to n!/(n-k+1)! + n!/(n-k)! arrangements at each
+    # of the 2^k points: 2.4e6 * 2^8 at (10, 8), 2.4e5 * 2^7 at (9, 7)
+    for n, k in ((10, 8), (9, 7)):
         bench.write_text(docs[n])
         code, out, err = run(capsys, "reduce", str(bench), "-k", str(k))
         assert code == 2 and out == "" and _one_error_line(err)

@@ -1,5 +1,6 @@
 """Grid, weights, and upward-closed-set machinery."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from compauction.grid import (
     BidGrid,
     DomainTooLargeError,
     Upset,
+    arrangements,
     check_size,
     enumerate_upsets,
     is_upward_closed,
+    orbit_size,
     project,
     weight_level,
     weight_others,
@@ -190,3 +193,19 @@ def test_random_upsets_are_valid(rng):
         for _ in range(25):
             s = random_upset(grid, rng)
             assert is_upward_closed(s.points, grid.num_levels, grid.n)
+
+
+@given(st.lists(st.integers(0, 3), max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_arrangements_are_the_distinct_permutations(point):
+    point = tuple(point)
+    found = list(arrangements(point))
+    assert found == sorted(set(itertools.permutations(point)))
+    assert orbit_size(point) == len(found)
+
+
+def test_orbit_size_is_the_multinomial():
+    assert orbit_size((2, 0, 2, 1)) == 12  # 4!/(2! 1! 1!)
+    assert orbit_size((5,) * 9) == 1
+    assert orbit_size(tuple(range(6))) == 720
+    assert orbit_size(()) == 1

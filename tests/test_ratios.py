@@ -1,5 +1,6 @@
 """Closed-form ratios, tail laws, sampling, and exact grid expectations."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from compauction.benchmarks import BenchmarkTable, builtin_table, f2, maxv
+from compauction.benchmarks import (
+    BenchmarkTable,
+    SortedValues,
+    builtin_table,
+    f2,
+    maxv,
+)
 from compauction.grid import BidGrid, weight_vector
 from compauction.ratios import (
     NETWORK_MAX_BIDDERS,
@@ -27,7 +34,12 @@ from compauction.ratios import (
     merge_exchange_network,
     sample_bids,
 )
-from tests.conftest import random_monotone_table, small_grids, two_tier_table
+from tests.conftest import (
+    random_monotone_table,
+    random_symmetric_monotone_table,
+    small_grids,
+    two_tier_table,
+)
 
 
 def test_lambda_n_small_values():
@@ -252,21 +264,58 @@ def test_expected_benchmark_discrete_examples():
     assert expected_benchmark_discrete(const) == Fraction(5, 3)
 
 
+def _direct_sum(table: BenchmarkTable) -> Fraction:
+    """Oracle: accumulate weight * value one point at a time."""
+    grid = table.grid
+    return sum(
+        (weight_vector(grid, p) * table[p] for p in grid.points()), Fraction(0)
+    )
+
+
 def test_expected_benchmark_discrete_against_direct_sum(rng):
-    # independent oracle: accumulate weight * value one point at a time
     for grid in small_grids():
         table = random_monotone_table(grid, rng)
-        direct = sum(
-            (weight_vector(grid, p) * table[p] for p in grid.points()),
-            Fraction(0),
-        )
-        assert expected_benchmark_discrete(table) == direct
-    odd = BidGrid(Fraction(2, 7), 4, 2)
-    table = builtin_table(odd, "maxv")
-    direct = sum(
-        (weight_vector(odd, p) * table[p] for p in odd.points()), Fraction(0)
-    )
-    assert expected_benchmark_discrete(table) == direct
+        assert expected_benchmark_discrete(table) == _direct_sum(table)
+    # symmetric tables with orbits of up to 3! and 4! arrangements, summed
+    # point by point as dicts and once per sorted vector as SortedValues
+    for grid in (BidGrid(Fraction(1), 3, 3), BidGrid(Fraction(1, 2), 3, 4)):
+        for _ in range(5):
+            table = random_symmetric_monotone_table(grid, rng)
+            nodes = {
+                key: table[key]
+                for key in itertools.combinations_with_replacement(range(3), grid.n)
+            }
+            by_node = BenchmarkTable(grid, SortedValues(grid, nodes))
+            direct = _direct_sum(table)
+            assert expected_benchmark_discrete(table) == direct
+            assert expected_benchmark_discrete(by_node) == direct
+    for delta, levels, n in ((Fraction(2, 7), 4, 2), (Fraction(5, 2), 3, 3),
+                             (Fraction(2, 7), 3, 4), (Fraction(5, 2), 4, 3)):
+        grid = BidGrid(delta, levels, n)
+        for kind in ("f2", "maxv"):
+            table = builtin_table(grid, kind)
+            direct = _direct_sum(table)
+            assert expected_benchmark_discrete(table) == direct
+            # the same values under the custom kind, shared and copied out
+            for values in (table.values, dict(table.values)):
+                custom = BenchmarkTable(grid, values, kind="custom")
+                assert expected_benchmark_discrete(custom) == direct
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [BidGrid(Fraction(1, 3), 5, 3), BidGrid(Fraction(5, 2), 3, 4),
+     BidGrid(Fraction(2, 7), 6, 2)],
+    ids=str,
+)
+def test_check_gn_tight_against_direct_sums(grid):
+    n = grid.n
+    base = builtin_table(grid, "f2")
+    pinned = {p: max(Fraction(n + 1), base[p]) for p in grid.points()}
+    rest = {p: max(Fraction(0), n + 1 - base[p]) for p in grid.points()}
+    report = check_gn_tight(n, grid)
+    assert report.g_sum == _direct_sum(BenchmarkTable(grid, pinned))
+    assert report.h_sum == _direct_sum(BenchmarkTable(grid, rest))
 
 
 def test_check_gn_tight_coarse_grid_is_diagnostic_only():
