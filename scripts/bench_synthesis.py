@@ -4,7 +4,9 @@
 Each row builds a built-in benchmark table, finds its optimal ratio by the
 cut, then times ``synthesize`` at that ratio and the evaluation of the
 result (``x_to_z`` then ``competitive_ratio``).  Each row also counts the
-minimum cuts synthesis solves (calls of ``max_closure`` from its steps).  A
+minimum cuts synthesis solves: calls of ``max_closure`` through both its
+``attainability`` and its ``synthesis`` binding, so the start check of
+attainability and every step cut count wherever they are made.  A
 row passes when the evaluated ratio equals the optimal ratio exactly and
 ``verify_ls2`` holds; the script exits 1 if any row fails.  The rows are f2
 and maxv on 8x2, 4x3 and 3x4, and f2 on 6x3, 4x4, 16x2 and 32x2 (1,024
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from compauction import synthesis
+from compauction import attainability, synthesis
 from compauction.attainability import optimal_ratio
 from compauction.auctions import competitive_ratio
 from compauction.benchmarks import builtin_table
@@ -61,19 +63,25 @@ class StepCounter:
 
 
 def counting_cuts(run):
-    """``run()`` and the number of cuts synthesis solved meanwhile, counted
-    by wrapping its binding of ``max_closure``."""
-    solve, calls = synthesis.max_closure, [0]
+    """``run()`` and the number of cuts solved meanwhile, counted by wrapping
+    both module bindings of ``max_closure``."""
+    modules = (attainability, synthesis)
+    solves, calls = [m.max_closure for m in modules], [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return solve(*args)
+    def counting(solve):
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
 
-    synthesis.max_closure = counted
+        return counted
+
+    for module, solve in zip(modules, solves):
+        module.max_closure = counting(solve)
     try:
         return run(), calls[0]
     finally:
-        synthesis.max_closure = solve
+        for module, solve in zip(modules, solves):
+            module.max_closure = solve
 
 
 def bench_row(kind: str, levels: int, n: int) -> dict:

@@ -10,7 +10,8 @@ where ``w`` is the equal-revenue product weight and ``S|i`` is the projection
 of ``S`` along coordinate ``i``.  Both sides are sums of per-point terms (see
 ``point_terms``), so the worst upset at ``lam`` is a maximum-weight closure,
 found by one s-t minimum cut (Picard 1976) pushed by Dinic's blocking flows,
-and the optimal ratio is a Dinkelbach iteration over such cuts.  Upset
+and the optimal ratio is a Dinkelbach iteration over such cuts
+(``dinkelbach``, which synthesis runs for its step bound too).  Upset
 enumeration and an exact simplex on the revenue linear system stay as
 independent oracles for the tests.
 """
@@ -95,6 +96,12 @@ def condition_sides(table: BenchmarkTable, upset: Upset) -> tuple[Fraction, Frac
 def check_cut_size(grid: BidGrid) -> None:
     """Reject a grid past ``CUT_POINT_CAP`` points."""
     check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "cut")
+
+
+def check_lp_size(grid: BidGrid) -> None:
+    """Reject a grid whose revenue system (``n * levels^n`` variables) is
+    past ``DEFAULT_LP_VARIABLE_CAP``."""
+    check_size(grid.num_levels, grid.n, DEFAULT_LP_VARIABLE_CAP // grid.n, "LP")
 
 
 def cover_graph(grid: BidGrid) -> tuple[list[Point], list[list[int]]]:
@@ -301,23 +308,33 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
     return Verdict(attainable=False, lam=lam, witness=witness)
 
 
+def dinkelbach(
+    above: list[list[int]], a: list[int], c: list[int], lam: Fraction
+) -> tuple[Fraction, Closure]:
+    """Dinkelbach's iteration over maximum closures (Dinkelbach 1967).
+
+    Cut at ``lam``; while the largest maximum closure ``S`` of ``a - lam*c``
+    is worth more than the empty set, set ``lam = a(S)/c(S)``, which makes
+    ``S`` worth 0, and cut again.  Returns the final ``lam`` and its closure,
+    worth 0, whose minimum cuts are the sets ``S`` with ``a(S) = lam*c(S)``.
+    """
+    while True:
+        cut = max_closure(above, a, c, lam)
+        if cut.value <= 0:
+            return lam, cut
+        lam = Fraction(sum(a[k] for k in cut.members), sum(c[k] for k in cut.members))
+
+
 def optimal_ratio(table: BenchmarkTable) -> RatioResult:
     """Smallest attainable ratio: the maximum of lhs/rhs over nonempty upsets.
 
-    Dinkelbach's iteration from the full grid: set ``lam`` to the ratio of the
-    current upset, then move to the worst upset at ``lam`` until no upset
-    exceeds it.  Each move raises ``lam``, so it ends, and the witness is the
-    largest upset attaining the ratio (the full grid for a zero benchmark).
+    Dinkelbach's iteration from the ratio of the full grid.  Each move raises
+    ``lam``, so it ends, and the witness is the largest upset attaining the
+    ratio (the full grid for a zero benchmark).
     """
     points, above, a, c = _closure_terms(table)
-    members = list(range(len(points)))
-    while True:
-        lam = Fraction(sum(a[k] for k in members), sum(c[k] for k in members))
-        cut = max_closure(above, a, c, lam)
-        if cut.value == 0:
-            witness = Upset.of(table.grid, (points[k] for k in cut.members))
-            return RatioResult(lam, witness)
-        members = cut.members
+    lam, cut = dinkelbach(above, a, c, Fraction(sum(a), sum(c)))
+    return RatioResult(lam, Upset.of(table.grid, (points[k] for k in cut.members)))
 
 
 def _variable_index(grid) -> dict[tuple[int, Point, int], int]:
@@ -330,7 +347,7 @@ def _variable_index(grid) -> dict[tuple[int, Point, int], int]:
 
 
 def _revenue_system(
-    table: BenchmarkTable, lam: Fraction | None, variable_cap: int
+    table: BenchmarkTable, lam: Fraction | None
 ) -> tuple[list[list[Fraction]], list[Fraction], int]:
     """The revenue system ``A_ub v <= b_ub`` and its number of variables.
 
@@ -342,7 +359,7 @@ def _revenue_system(
     mass stays below ``lam``.
     """
     grid = table.grid
-    check_size(grid.num_levels, grid.n, variable_cap // grid.n, "LP")
+    check_lp_size(grid)
     index = _variable_index(grid)
     offset = 1 if lam is None else 0
     cover = Fraction(1) if lam is None else lam
@@ -380,7 +397,7 @@ def _revenue_system(
 
 def lp_feasible(table: BenchmarkTable, lam: Fraction) -> bool:
     """Exact feasibility of the revenue linear system at ratio ``lam``."""
-    A_ub, b_ub, nvars = _revenue_system(table, Fraction(lam), DEFAULT_LP_VARIABLE_CAP)
+    A_ub, b_ub, nvars = _revenue_system(table, Fraction(lam))
     return lp.feasible(A_ub, b_ub, num_vars=nvars)
 
 
@@ -390,7 +407,7 @@ def optimal_ratio_lp(table: BenchmarkTable) -> Fraction:
     Substituting ``y_i = lam * x_i`` into the revenue system makes the ratio a
     genuine linear objective: minimize ``lam``, which is variable 0.
     """
-    A_ub, b_ub, nvars = _revenue_system(table, None, DEFAULT_LP_VARIABLE_CAP)
+    A_ub, b_ub, nvars = _revenue_system(table, None)
     cost = [Fraction(0)] * nvars
     cost[0] = Fraction(1)
     result = lp.solve_lp(cost, A_ub, b_ub)

@@ -30,10 +30,9 @@ from compauction.grid import (
 
 BUILTIN_KINDS = ("f2", "maxv")
 
-# Most table reads ``limited_supply_bounds`` may make: one per output point
-# for a built-in kind, at most n!/(n-k+1)! + n!/(n-k)! arrangements per
-# point for a custom table; 6 bidders on 8 levels at k = 4 make at most
-# 1.97 * 10^6 and take 1.4 s.
+# Bound on ``limited_supply_bounds``: the levels^k output points of a
+# built-in kind, times n!/(n-k+1)! + n!/(n-k)! arrangements for a custom
+# table, whose reads go by sorted vector, so the count is an upper bound.
 MAX_ARRANGEMENTS = 2 * 10**6
 
 RationalLike = Fraction | int
@@ -53,9 +52,6 @@ def maxv(values: Sequence[RationalLike]) -> Fraction:
         raise ValueError("Vickrey benchmark needs at least two bidders")
     ordered = sorted((Fraction(v) for v in values), reverse=True)
     return max(k * ordered[k] for k in range(1, len(ordered)))
-
-
-_FORMULAS = {"f2": f2, "maxv": maxv}
 
 
 class SortedValues(Mapping[Point, Fraction]):
@@ -200,10 +196,6 @@ def validate_table(table: BenchmarkTable) -> None:
         )
 
 
-def _sorted_desc(point: Point) -> tuple[int, ...]:
-    return tuple(sorted(point, reverse=True))
-
-
 def check_supply(grid: BidGrid, k: int, kind: str) -> None:
     """Reject a supply ``k`` outside ``[2, n)`` or past ``MAX_ARRANGEMENTS``.
 
@@ -245,35 +237,32 @@ def limited_supply_bounds(
     ``upper >= original >= lower`` pointwise, so the pair brackets the
     competitive ratio of a k-unit (limited supply) auction.
 
-    A k-bidder table must be symmetric in its arguments, so an asymmetric
-    source is bracketed by the extreme arrangements: the upper value is the
-    maximum of the benchmark over permutations of the padded vector, the
-    lower the minimum (for symmetric benchmarks both collapse to a single
-    lookup, which built-in kinds take).  For built-in kinds the lower table
-    evaluates the formula with literal zeros appended; a custom table has no
-    values below the grid, so its bottom level stands in as the floor.
+    Both tables are symmetric, so they hold one value per ascending vector
+    ``a``.  An asymmetric source is bracketed by the extreme arrangements:
+    with ``pad = n - k``, upper is the maximum over the arrangements of
+    ``(a[0],)*pad + a``, lower the minimum over those of ``(0,)*pad + a`` (a
+    custom table has no values below the grid, so its bottom level is the
+    floor).  A built-in kind reads the padded vector once, and ``pad`` zero
+    bids leave its k-bidder formula, so its lower table is the built-in
+    k-bidder table.
     """
     grid = table.grid
     check_supply(grid, k, table.kind)
     out_grid = BidGrid(grid.delta, grid.num_levels, k)
-    levels = grid.ladder
     pad = grid.n - k
-    upper: dict[Point, Fraction] = {}
-    lower: dict[Point, Fraction] = {}
-    for u in out_grid.points():
-        s = _sorted_desc(u)
-        raised = s + (s[-1],) * pad
-        if table.kind in BUILTIN_KINDS:
-            upper[u] = table[raised]
-            formula = _FORMULAS[table.kind]
-            lower[u] = formula([levels[t] for t in s] + [Fraction(0)] * pad)
-        else:
-            upper[u] = max(table[perm] for perm in arrangements(raised))
-            dropped = s + (0,) * pad
-            lower[u] = min(table[perm] for perm in arrangements(dropped))
+    ascending = itertools.combinations_with_replacement(range(grid.num_levels), k)
+    vectors = list(ascending)
+    if table.kind in BUILTIN_KINDS:
+        upper = {a: table[(a[0],) * pad + a] for a in vectors}
+        lower = builtin_table(out_grid, table.kind).values.nodes
+    else:
+        upper = {
+            a: max(table[p] for p in arrangements((a[0],) * pad + a)) for a in vectors
+        }
+        lower = {a: min(table[p] for p in arrangements((0,) * pad + a)) for a in vectors}
     return (
-        BenchmarkTable(out_grid, upper, kind="custom"),
-        BenchmarkTable(out_grid, lower, kind="custom"),
+        BenchmarkTable(out_grid, SortedValues(out_grid, upper), kind="custom"),
+        BenchmarkTable(out_grid, SortedValues(out_grid, lower), kind="custom"),
     )
 
 

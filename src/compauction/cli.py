@@ -134,9 +134,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    table = _load_table(
-        args.benchmark, lambda grid, _: attainability.check_cut_size(grid)
-    )
+    def check(grid: BidGrid, _) -> None:
+        attainability.check_cut_size(grid)
+        if args.method != "cut":
+            attainability.check_lp_size(grid)
+
+    table = _load_table(args.benchmark, check)
     if args.method == "lp":
         ratio, witness = attainability.optimal_ratio_lp(table), None
     else:

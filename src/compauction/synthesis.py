@@ -29,10 +29,11 @@ of three boundary events, handled in this order:
 
 Both an upset's slack and its rate of change are sums of per-point terms, so
 no step lists upsets: the step bound is a Dinkelbach iteration over maximum
-closures of ``eps*rate - slack`` (Dinkelbach 1967), and the sets a new-tight
-event splices into the chain are read off the residual graph of the last
-closure's minimum cut (Picard and Queyranne 1980).  The state keeps the slack
-terms, which a step moves only on its direction's fibers.
+closures of ``eps*rate - slack`` (Dinkelbach 1967, ``attainability.dinkelbach``),
+and the sets a new-tight event splices into the chain are read off the
+residual graph of the last closure's minimum cut (Picard and Queyranne 1980).
+The state keeps the slack terms, which a step moves only on its direction's
+fibers.  They start at ``g = 1``, where one cut of them decides attainability.
 
 Each event shrinks the support, spends a budget, or grows the chain, so the
 loop terminates; when ``f`` is identically zero the accumulated ``x`` solves
@@ -50,8 +51,8 @@ from typing import Iterable
 from compauction.attainability import (
     CUT_POINT_CAP,
     Closure,
-    check_attainable,
     cover_graph,
+    dinkelbach,
     integer_terms,
     max_closure,
     point_terms,
@@ -64,7 +65,6 @@ from compauction.grid import (
     Point,
     Upset,
     check_size,
-    covers,
     weight_level,
     weight_others,
 )
@@ -247,17 +247,21 @@ def slack_shares(state: SynthesisState) -> list[Fraction]:
     return shares
 
 
-def eq_slack(
-    state: SynthesisState, mask: int, shares: list[Fraction] | None = None
-) -> Fraction:
-    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset.
+def eq_slack(state: SynthesisState, mask: int) -> Fraction:
+    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset:
+    the sum of the kept terms at the mask's bits."""
+    return sum((state.slack[k] for k in _bits(mask)), Fraction(0))
 
-    The sum of the terms at the mask's bits: the kept ones, unless
-    ``shares`` is given.
+
+def worst_violation(state: SynthesisState) -> Closure:
+    """The largest upset of most negative g-weighted slack, by one cut.
+
+    It is worth more than the empty set exactly when some upset violates the
+    inequality.  A positive scale leaves the largest maximum closure alone,
+    so at ``g = 1`` it is the witness ``check_attainable`` names.
     """
-    if shares is None:
-        shares = state.slack
-    return sum((shares[k] for k in _bits(mask)), Fraction(0))
+    (slack,) = integer_terms(state.slack)
+    return max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
 
 
 def layer_fibers(state: SynthesisState, upper: int, lower: int, i: int) -> list[Point]:
@@ -279,13 +283,11 @@ def pick_direction(state: SynthesisState) -> Direction:
         fringe = layer_fibers(state, head, second, i)
         members = [o for o in fringe if state.g[i][o] > 0]
         if members:
-            cut = {}
-            for others in members:
-                cut[others] = min(
-                    t
-                    for t in range(grid.num_levels)
-                    if state.f[_insert_at(others, i, t)] > 0
-                )
+            levels = range(grid.num_levels)
+            cut = {
+                o: next(t for t in levels if state.f[_insert_at(o, i, t)] > 0)
+                for o in members
+            }
             return Direction(i, members, cut)
     raise SynthesisInvariantError("no coordinate has budgeted mass left")
 
@@ -314,52 +316,31 @@ def rate_shares(state: SynthesisState, d: Direction) -> dict[Point, Fraction]:
 def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
     """Largest admissible eps and the boundary events that stop it.
 
-    Starting from the f and g bounds, eps falls to ``slack(S)/rate(S)`` of
-    the maximum closure ``S`` of ``eps*rate - slack`` while that closure is
-    worth more than the empty set.  Slack is never negative, so the closure
-    at the final eps is worth 0 and its minimum cuts are the sets that bind
-    there; an already-tight set with positive rate binds at eps zero.
+    From the smaller of the f and g bounds, ``dinkelbach`` lowers eps to
+    ``slack(S)/rate(S)`` of the maximum closure ``S`` of ``eps*rate - slack``
+    while that closure is worth more than the empty set.  Slack is never
+    negative, so the closure at the final eps is worth 0 and its minimum cuts
+    are the sets that bind there; an already-tight set with positive rate
+    binds at eps zero.
     """
     grid = state.grid
-    lam = state.lam
-    bound_f: Fraction | None = None
-    for others in d.members:
-        for t in range(d.cut[others], grid.num_levels):
-            val = state.f[_insert_at(others, d.i, t)] / lam
-            if bound_f is None or val < bound_f:
-                bound_f = val
-    bound_g: Fraction | None = None
-    for others in d.members:
-        val = state.g[d.i][others] * grid.level_value(d.cut[others])
-        if bound_g is None or val < bound_g:
-            bound_g = val
-    assert bound_f is not None and bound_g is not None
-
+    moving = [
+        _insert_at(o, d.i, t)
+        for o in d.members
+        for t in range(d.cut[o], grid.num_levels)
+    ]
+    budgets = [state.g[d.i][o] * grid.level_value(d.cut[o]) for o in d.members]
+    bound_f = min(state.f[p] for p in moving) / state.lam
     rates = rate_shares(state, d)
     zero = Fraction(0)
     slack, rate = integer_terms(state.slack, [rates.get(p, zero) for p in state.points])
-    minus_slack, minus_rate = [-s for s in slack], [-r for r in rate]
-    eps = min(bound_f, bound_g)
-    while True:
-        cut = max_closure(state.above, minus_slack, minus_rate, eps)
-        if cut.value == 0:
-            break
-        eps = Fraction(
-            sum(slack[k] for k in cut.members), sum(rate[k] for k in cut.members)
-        )
+    eps, cut = dinkelbach(
+        state.above, [-s for s in slack], [-r for r in rate], min(bound_f, *budgets)
+    )
 
-    drop = lam * eps
-    f_hits = sorted(
-        _insert_at(others, d.i, t)
-        for others in d.members
-        for t in range(d.cut[others], grid.num_levels)
-        if state.f[_insert_at(others, d.i, t)] == drop
-    )
-    g_hits = sorted(
-        others
-        for others in d.members
-        if state.g[d.i][others] * grid.level_value(d.cut[others]) == eps
-    )
+    drop = state.lam * eps
+    f_hits = sorted(p for p in moving if state.f[p] == drop)
+    g_hits = [o for o, budget in zip(d.members, budgets) if budget == eps]
     if f_hits:
         handled = StepEvent.F_ZERO
     elif g_hits:
@@ -464,13 +445,6 @@ def synthesize(
     lam = Fraction(lam)
     grid = table.grid
     check_synthesis_size(grid)
-    verdict = check_attainable(table, lam)
-    if not verdict.attainable:
-        raise NotAttainableError(
-            f"benchmark is not attainable at ratio {lam}; "
-            f"witness set of size {len(verdict.witness) if verdict.witness else 0}"
-        )
-
     points, above = cover_graph(grid)
     state = SynthesisState(
         grid=grid,
@@ -490,6 +464,12 @@ def synthesize(
         slack=[],
     )
     state.slack = slack_shares(state)
+    worst = worst_violation(state)
+    if worst.value > 0:
+        raise NotAttainableError(
+            f"benchmark is not attainable at ratio {lam}; "
+            f"witness set of size {len(worst.members)}"
+        )
     state.chain = [support_upset(state), 0]
     if observer is not None:
         observer.initial(state)
@@ -528,8 +508,7 @@ def check_invariants(
 
     if state.slack != slack_shares(state):
         raise SynthesisInvariantError("kept slack differs from the recomputed one")
-    (slack,) = integer_terms(state.slack)
-    worst = max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
+    worst = worst_violation(state)
     if worst.value > 0:
         violated = sorted(state.points[k] for k in worst.members)
         raise SynthesisInvariantError(f"inequality violated for {violated}")
@@ -544,10 +523,11 @@ def check_invariants(
     if state.chain and state.chain[0] != support_upset(state):
         raise SynthesisInvariantError("chain head differs from the support")
 
-    for p, v in state.f.items():
+    for p, higher in zip(state.points, state.above):
+        v = state.f[p]
         if v < 0:
             raise SynthesisInvariantError(f"working benchmark negative at {p}")
-        if any(state.f[q] < v for q in covers(p, grid.top)):
+        if any(state.f[state.points[q]] < v for q in higher):
             raise SynthesisInvariantError("working benchmark not monotone")
 
     for i in range(grid.n):

@@ -327,6 +327,21 @@ def test_limited_supply_bounds_builtin_kinds_by_their_lookups(monkeypatch):
         limited_supply_bounds(builtin_table(grid, "f2"), 8)
 
 
+def test_limited_supply_bounds_go_by_sorted_vector(monkeypatch):
+    # 65,536 output points at k = 16 are C(17, 16) = 17 ascending vectors,
+    # and the built-in route never evaluates a formula
+    def no_formula(values):
+        raise AssertionError("a benchmark formula was evaluated")
+
+    monkeypatch.setattr(benchmarks, "f2", no_formula)
+    monkeypatch.setattr(benchmarks, "maxv", no_formula)
+    grid = BidGrid(Fraction(1), 2, 18)
+    for kind in ("f2", "maxv"):
+        upper, lower = limited_supply_bounds(builtin_table(grid, kind), 16)
+        assert len(upper.values.nodes) == len(lower.values.nodes) == 17
+        assert lower.values.nodes == builtin_table(upper.grid, kind).values.nodes
+
+
 def test_fix_lowest_coordinate_identity():
     grid3 = BidGrid(Fraction(1), 2, 3)
     pinned = fix_lowest_coordinate(builtin_table(grid3, "f2"))

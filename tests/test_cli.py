@@ -408,6 +408,22 @@ def test_oversized_grids_are_rejected_before_tabulation(capsys, tmp_path, monkey
         assert code == 2 and "document cap" in err and "Traceback" not in err
 
 
+def test_optimal_checks_the_lp_size_before_any_cut(capsys, tmp_path, monkeypatch):
+    from compauction import attainability
+
+    def no_cut(*args):
+        raise AssertionError("a cut ran before the LP size check")
+
+    monkeypatch.setattr(attainability, "max_closure", no_cut)
+    bench = tmp_path / "f2.json"
+    bench.write_text(serialize.dumps(
+        {"grid": {"delta": "1", "levels": 32, "n": 2}, "kind": "f2"}))
+    for method in ("both", "lp"):
+        code, out, err = run(capsys, "optimal", str(bench), "--method", method)
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "above the LP cap of 256" in err
+
+
 def test_unexpected_errors_are_internal(capsys, monkeypatch):
     from compauction import attainability
 
@@ -444,7 +460,8 @@ def test_synthesize_checks_its_size_before_any_cut(capsys, tmp_path, monkeypatch
 
     monkeypatch.setattr(attainability, "optimal_ratio", no_cut)
     monkeypatch.setattr(attainability, "check_attainable", no_cut)
-    monkeypatch.setattr(synthesis, "check_attainable", no_cut)
+    monkeypatch.setattr(attainability, "max_closure", no_cut)
+    monkeypatch.setattr(synthesis, "max_closure", no_cut)
     bench = tmp_path / "f2.json"
     cases = [((33, 2), (), "synthesis cap of 1024"),
              ((64, 2), (), "synthesis cap of 1024"),
@@ -470,7 +487,7 @@ def test_synthesize_trace_without_output_fails_before_any_work(capsys, monkeypat
     monkeypatch.setattr(serialize, "table_from_doc", no_work)
     monkeypatch.setattr(attainability, "optimal_ratio", no_work)
     monkeypatch.setattr(attainability, "check_attainable", no_work)
-    monkeypatch.setattr(synthesis, "check_attainable", no_work)
+    monkeypatch.setattr(attainability, "max_closure", no_work)
     monkeypatch.setattr(synthesis, "max_closure", no_work)
     for ratio in ((), ("1",)):
         code, out, err = run(capsys, "synthesize", TWO_TIER, *ratio, "--trace")

@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from compauction.attainability import DEFAULT_LP_VARIABLE_CAP, _revenue_system
+from compauction.attainability import _revenue_system
 from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid
 from compauction.lp import LPStatus, feasible, solve_lp
@@ -175,7 +175,7 @@ def test_ratio_lp_pivot_counts_are_pinned():
     for levels, n, ratio, pivots in ((4, 2, F(23, 16), 93), (2, 4, F(19, 16), 112),
                                      (5, 2, F(47, 32), 164)):
         table = builtin_table(BidGrid(F(1), levels, n), "f2")
-        A, b, nvars = _revenue_system(table, None, DEFAULT_LP_VARIABLE_CAP)
+        A, b, nvars = _revenue_system(table, None)
         res = solve_lp([F(1)] + [F(0)] * (nvars - 1), A_ub=A, b_ub=b)
         assert (res.status, res.objective, res.pivots) == (LPStatus.OPTIMAL, ratio, pivots)
 

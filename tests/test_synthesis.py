@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from compauction import synthesis
-from compauction.attainability import optimal_ratio
+from compauction import attainability, synthesis
+from compauction.attainability import check_attainable, optimal_ratio
 from compauction.auctions import competitive_ratio, expected_revenue
 from compauction.benchmarks import BenchmarkTable, builtin_table
 from compauction.grid import BidGrid, DomainTooLargeError, enumerate_upsets
@@ -47,6 +47,11 @@ def members(state, mask):
 def mask_of(state, upset):
     """An upset as a mask over ``state.points``."""
     return sum(1 << state.index[p] for p in upset.points)
+
+
+def summed(state, shares, upset):
+    """An upset's total of per-point ``shares`` in ``state.points`` order."""
+    return sum((shares[state.index[p]] for p in upset.points), Fraction(0))
 
 
 class Snapshots:
@@ -206,9 +211,8 @@ def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
         apply_step(state, d, eps)
         after = slack_shares(state)
         for upset in enumerate_upsets(grid):
-            mask = mask_of(state, upset)
-            assert eq_slack(state, mask, after) == (
-                eq_slack(state, mask, before) - eps * rate(rates, upset.points)
+            assert summed(state, after, upset) == (
+                summed(state, before, upset) - eps * rate(rates, upset.points)
             )
         moved.append(eps)
 
@@ -236,7 +240,7 @@ def scan_step(state, d):
     for upset in enumerate_upsets(grid):
         rate = sum((rates.get(p, 0) for p in upset.points), Fraction(0))
         if rate > 0:
-            slack = eq_slack(state, mask_of(state, upset), shares)
+            slack = summed(state, shares, upset)
             binding.append((slack / rate, upset))
     eps = min([bound_f, bound_g] + [e for e, _ in binding])
     f_hits = sorted(synthesis._insert_at(o, d.i, t) for o, t in fibers
@@ -332,7 +336,7 @@ def test_synthesis_checks_its_size_before_any_cut(monkeypatch):
     def no_cut(*args):
         raise AssertionError("a cut ran before the size check")
 
-    monkeypatch.setattr(synthesis, "check_attainable", no_cut)
+    monkeypatch.setattr(attainability, "max_closure", no_cut)
     monkeypatch.setattr(synthesis, "max_closure", no_cut)
     for levels, n in ((33, 2), (2, 11)):
         table = builtin_table(BidGrid(Fraction(1), levels, n), "f2")
@@ -362,6 +366,44 @@ def test_not_attainable_raises():
         synthesize(table, Fraction(63, 64))
     with pytest.raises(NotAttainableError):
         synthesize(table, Fraction(0))
+
+
+def test_not_attainable_names_the_witness_of_check_attainable(rng):
+    # the start cut of the kept slack finds the upset check_attainable finds
+    for n in (1, 2, 3):
+        for levels in (2, 3) if n < 3 else (2,):
+            grid = BidGrid(Fraction(1), levels, n)
+            for _ in range(4):
+                table = random_monotone_table(grid, rng, nonzero=True)
+                lam = optimal_ratio(table).ratio * Fraction(63, 64)
+                size = len(check_attainable(table, lam).witness)
+                with pytest.raises(NotAttainableError) as caught:
+                    synthesize(table, lam)
+                assert str(caught.value) == (
+                    f"benchmark is not attainable at ratio {lam}; "
+                    f"witness set of size {size}"
+                )
+
+
+def test_synthesis_builds_the_cover_graph_once(monkeypatch):
+    built = []
+
+    build = attainability.cover_graph
+
+    def counted(grid):
+        built.append(grid)
+        return build(grid)
+
+    monkeypatch.setattr(attainability, "cover_graph", counted)
+    monkeypatch.setattr(synthesis, "cover_graph", counted)
+    table = builtin_table(BidGrid(Fraction(1), 3, 2), "f2")
+    lam = optimal_ratio(table).ratio
+    built.clear()
+    synthesize(table, lam)
+    assert len(built) == 1
+    with pytest.raises(NotAttainableError):
+        synthesize(table, lam * Fraction(63, 64))
+    assert len(built) == 2
 
 
 def test_iteration_cap_trips():
