@@ -32,13 +32,13 @@ from compauction.grid import (
     Upset,
     check_size,
     covers,
-    weight_level,
     weight_others,
+    weight_tail,
     weight_vector,
 )
 
 CUT_POINT_CAP = 1024
-DEFAULT_LP_VARIABLE_CAP = 512
+DEFAULT_LP_VARIABLE_CAP = 192
 
 
 @dataclass
@@ -351,18 +351,25 @@ def _revenue_system(
 ) -> tuple[list[list[Fraction]], list[Fraction], int]:
     """The revenue system ``A_ub v <= b_ub`` and its number of variables.
 
-    Variables are the per-bidder expected revenues ``x_i(b_-i, t)``, required
-    to cover ``f`` at rate ``lam``, to keep weighted mass at most one along
-    each direction, and to be non-negative and monotone in the bidder's own
-    level.  With ``lam = None`` the ratio becomes variable 0 and the others are
-    ``y_i = lam * x_i``: the ``y_i`` cover ``f`` outright while their weighted
-    mass stays below ``lam``.
+    Each bidder's expected revenue ``x_i(b_-i, t)`` must cover ``f`` at rate
+    ``lam``, keep weighted mass at most one along each direction, and be
+    non-negative and monotone in the bidder's own level.  The variables are
+    its increments ``d_i(b_-i, s) >= 0``, with
+    ``x_i(b_-i, t) = sum_{s <= t} d_i(b_-i, s)``.  This change of variables is
+    unimodular, and ``d >= 0`` holds exactly when ``x`` is non-negative and
+    monotone, so the system is equivalent to the one in ``x`` without any
+    monotonicity rows.  The mass along a direction,
+    ``sum_t w(t) x_i(b_-i, t)``, becomes ``sum_s W(s) d_i(b_-i, s)`` with the
+    tail weight ``W(s) = sum_{t >= s} w(t)``.  With ``lam = None`` the ratio
+    becomes variable 0 and the others are ``lam * d_i``: they cover ``f``
+    outright while their weighted mass stays below ``lam``.
     """
     grid = table.grid
     check_lp_size(grid)
     index = _variable_index(grid)
     offset = 1 if lam is None else 0
-    cover = Fraction(1) if lam is None else lam
+    cover = Fraction(-1) if lam is None else -lam
+    tails = [weight_tail(grid, s) for s in range(grid.num_levels)]
     nvars = len(index) + offset
     A_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
@@ -374,7 +381,8 @@ def _revenue_system(
         row = new_row()
         for i in range(grid.n):
             others = p[:i] + p[i + 1 :]
-            row[offset + index[(i, others, p[i])]] -= cover
+            for s in range(p[i] + 1):
+                row[offset + index[(i, others, s)]] = cover
         A_ub.append(row)
         b_ub.append(-table[p])
     for i in range(grid.n):
@@ -382,16 +390,10 @@ def _revenue_system(
             row = new_row()
             if lam is None:
                 row[0] = Fraction(-1)
-            for t in range(grid.num_levels):
-                row[offset + index[(i, others, t)]] = weight_level(grid, t)
+            for s, tail in enumerate(tails):
+                row[offset + index[(i, others, s)]] = tail
             A_ub.append(row)
             b_ub.append(Fraction(0) if lam is None else Fraction(1))
-            for t in range(grid.top):
-                row = new_row()
-                row[offset + index[(i, others, t)]] = Fraction(1)
-                row[offset + index[(i, others, t + 1)]] = Fraction(-1)
-                A_ub.append(row)
-                b_ub.append(Fraction(0))
     return A_ub, b_ub, nvars
 
 

@@ -7,13 +7,18 @@ knobs.  Problems here are tiny (tens of variables), so a dense tableau is the
 right tool.
 
 The tableau is fraction-free.  Each row is a primitive integer vector: a
-positive multiple of the rational row it stands for.  A pivot on ``a_rc``
-replaces every other row ``i`` with ``a_rc*row_i - a_ic*row_r`` divided by its
-gcd, so no entry ever carries a denominator.  Positive scaling keeps every
-sign and every ratio ``rhs/a``, so the pivot sequence is exactly that of the
-rational tableau.  The objective row is kept as integers over one positive
-denominator, and basic values become :class:`fractions.Fraction` only when the
-solution is read off.
+positive multiple of the rational row it stands for.  It is built in integers
+straight from the input: one ``lcm`` ``d`` of the denominators of an input row
+and its rhs scales them to integers, the row's slack and its artificial (if it
+needs one) enter at ``d`` instead of 1, and a row with a negative rhs is
+negated in integers.  The primitive integer form of a rational row is unique,
+so this is the tableau of the rational rows, whatever type (``Fraction`` or
+``int``) the entries came in.  A pivot on ``a_rc`` replaces every other row
+``i`` with ``a_rc*row_i - a_ic*row_r`` divided by its gcd, so no entry ever
+carries a denominator.  Positive scaling keeps every sign and every ratio
+``rhs/a``, so the pivot sequence is exactly that of the rational tableau.  The
+objective row is kept as integers over one positive denominator, and basic
+values become :class:`fractions.Fraction` only when the solution is read off.
 
 Conventions: minimize ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq`` and ``x >= 0``.
@@ -50,7 +55,7 @@ def _primitive(values: list[int]) -> list[int]:
     return values if g <= 1 else [v // g for v in values]
 
 
-def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _integers(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """Integers ``k`` and the least positive ``d`` with ``values == k / d``."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
@@ -59,14 +64,14 @@ def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
 class _Tableau:
     """Integer rows, a basis, and an objective row ``obj / den``."""
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]) -> None:
-        self.rows = [_primitive(_integers(line)[0]) for line in rows]
+    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
+        self.rows = [_primitive(line) for line in rows]
         self.basis = basis
         self.obj: list[int] = []
         self.den = 1
         self.pivots = 0
 
-    def price(self, cost: Sequence[Fraction]) -> None:
+    def price(self, cost: Sequence[Fraction | int]) -> None:
         """Set the objective row to ``cost`` in reduced costs over the basis."""
         self.obj, self.den = _integers(cost)
         for r, b in enumerate(self.basis):
@@ -155,52 +160,47 @@ def solve_lp(
     A_eq: Sequence[Sequence[Fraction]] = (),
     b_eq: Sequence[Fraction] = (),
 ) -> LPResult:
-    """Exact two-phase simplex; variables are implicitly non-negative."""
+    """Exact two-phase simplex; variables are implicitly non-negative.
+
+    Entries may be :class:`fractions.Fraction` or ``int``.
+    """
     nx = len(c)
-    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(A_ub, b_ub)]
-    neq = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(A_eq, b_eq)]
-    n_ub = len(rows)
-    m = n_ub + len(neq)
+    ub = list(zip(A_ub, b_ub))
+    rows = ub + list(zip(A_eq, b_eq))
+    n_ub = len(ub)
 
-    # Columns: x vars, one slack per <= row, artificials appended as needed.
+    # Columns: x vars, one slack per <= row, then one artificial per row that
+    # has no slack to start the basis (a negative rhs, or an equality).
     ncols = nx + n_ub
-    lines: list[list[Fraction]] = []
+    art_rows = (i for i, (_, rhs) in enumerate(rows) if rhs < 0 or i >= n_ub)
+    artificial = {i: ncols + k for k, i in enumerate(art_rows)}
+    width = ncols + len(artificial) + 1
+    lines: list[list[int]] = []
     basis: list[int] = []
-    art_rows: list[int] = []
-    for i, row in enumerate(rows + neq):
-        body, rhs = row[:-1], row[-1]
-        body = body + [Fraction(0)] * (nx - len(body))
-        slacks = [Fraction(0)] * n_ub
+    for i, (row, rhs) in enumerate(rows):
+        body, d = _integers([*row, rhs])
+        sign = -1 if rhs < 0 else 1
+        line = [0] * width
+        line[: len(row)] = [sign * v for v in body[:-1]]
+        line[-1] = sign * body[-1]
         if i < n_ub:
-            slacks[i] = Fraction(1)
-        line = body + slacks
-        if rhs < 0:
-            line = [-v for v in line]
-            rhs = -rhs
-        if i < n_ub and line[nx + i] == 1:
-            basis.append(nx + i)
-        else:
-            basis.append(-1)  # placeholder, artificial assigned below
-            art_rows.append(i)
-        lines.append(line + [rhs])
-
-    n_art = len(art_rows)
-    for k, i in enumerate(art_rows):
-        for r, line in enumerate(lines):
-            line.insert(ncols + k, Fraction(1 if r == i else 0))
-        basis[i] = ncols + k
+            line[nx + i] = sign * d
+        if i in artificial:
+            line[artificial[i]] = d
+        basis.append(artificial.get(i, nx + i))
+        lines.append(line)
 
     # Phase 1: minimize the sum of artificials.
     tab = _Tableau(lines, basis)
-    tab.price([Fraction(0)] * ncols + [Fraction(1)] * n_art + [Fraction(0)])
-    if m and tab.run() != LPStatus.OPTIMAL:
+    tab.price([0] * ncols + [1] * len(artificial) + [0])
+    if rows and tab.run() != LPStatus.OPTIMAL:
         raise RuntimeError("phase one cannot be unbounded")
     if tab.obj[-1] < 0:
         return LPResult(LPStatus.INFEASIBLE, pivots=tab.pivots)
     tab.drive_out(ncols)
 
     # Phase 2: the real objective, expressed in reduced costs over the basis.
-    tab.price(list(map(Fraction, c)) + [Fraction(0)] * (ncols - nx + 1))
+    tab.price([*c] + [0] * (ncols - nx + 1))
     if tab.run() == LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
     x, objective = tab.solution(nx)

@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from compauction.benchmarks import BenchmarkTable, SortedValues, builtin_numerators
 from compauction.grid import BidGrid, Point, orbit_size
+
+if TYPE_CHECKING:  # at run time only the sampler's functions import NumPy
+    import numpy as np
 
 
 def lambda_n(n: int) -> Fraction:
@@ -137,6 +138,8 @@ def bids_from_uniform(
 
     ``out=u`` maps a drawn buffer in place.  NaN is outside (0, 1] too.
     """
+    import numpy as np
+
     arr = np.asarray(u, dtype=float)
     if not (arr.min(initial=1.0) > 0 and arr.max(initial=1.0) <= 1):
         raise ValueError("uniform draws must lie in (0, 1]")
@@ -153,10 +156,14 @@ class EqualRevenueSampler:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one bidder")
+        import numpy as np
+
         self._rng = np.random.default_rng(self.seed)
 
     def sample(self, size: int) -> np.ndarray:
         """``size`` bid vectors as a ``(size, n)`` array of floats >= 1."""
+        import numpy as np
+
         u = self._rng.random((size, self.n))
         np.subtract(1.0, u, out=u)  # uniform on (0, 1]
         return bids_from_uniform(u, out=u)
@@ -212,6 +219,8 @@ def _max_scaled_bid(bids: np.ndarray, top: int) -> np.ndarray:
     strided, so all but the last 8 columns (a 64-byte line) are reduced row
     by row, those by column.
     """
+    import numpy as np
+
     n = bids.shape[1]
     if n < 2:
         raise ValueError("need at least two bidders")
@@ -264,6 +273,8 @@ def mc_expected(
     """
     if not samples >= blocks >= 1:
         raise ValueError("need samples >= blocks >= 1")
+    import numpy as np
+
     block_size = samples // blocks
     seeds = np.random.SeedSequence(seed).spawn(blocks)
     means = np.empty(blocks)

@@ -113,15 +113,22 @@ def test_optimal_ratio_lp_past_the_enumeration_cap():
         assert optimal_ratio_lp(table) == ratio
 
 
+def oracle_grids():
+    """The small grids at delta 1, then again at delta 1/3 and 5/2."""
+    return [BidGrid(delta, grid.num_levels, grid.n)
+            for delta in (Fraction(1), Fraction(1, 3), Fraction(5, 2))
+            for grid in small_grids()]
+
+
 def test_cross_oracle_agreement(rng):
-    for grid in small_grids():
+    for grid in oracle_grids():
         for _ in range(12):
             table = random_monotone_table(grid, rng)
             assert optimal_ratio(table).ratio == optimal_ratio_lp(table)
 
 
 def test_lp_route_matches_enumeration_verdicts(rng):
-    for grid in small_grids():
+    for grid in oracle_grids():
         table = random_monotone_table(grid, rng, nonzero=True)
         best = optimal_ratio(table).ratio
         for lam in (best, best * Fraction(63, 64), best * 2):

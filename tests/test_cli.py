@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,6 +208,16 @@ def test_simulate_stdout_is_pinned(capsys):
         doc = json.loads(out)
         assert (doc["estimate"], doc["error"]) == (estimate, error), (kind, n)
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (kind, n)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the sampler needs NumPy, so no other command should pay its import
+    package_root = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, compauction.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_the_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
@@ -421,7 +434,7 @@ def test_optimal_checks_the_lp_size_before_any_cut(capsys, tmp_path, monkeypatch
     for method in ("both", "lp"):
         code, out, err = run(capsys, "optimal", str(bench), "--method", method)
         assert code == 2 and out == "" and _one_error_line(err)
-        assert "above the LP cap of 256" in err
+        assert "above the LP cap of 96" in err
 
 
 def test_unexpected_errors_are_internal(capsys, monkeypatch):

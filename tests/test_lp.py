@@ -172,10 +172,12 @@ def test_random_lps_match_vertex_enumeration():
 def test_ratio_lp_pivot_counts_are_pinned():
     # Bland's rule fixes the pivot sequence; a change in these counts means a
     # change in the rule or in the system, not in the arithmetic
-    for levels, n, ratio, pivots in ((4, 2, F(23, 16), 93), (2, 4, F(19, 16), 112),
-                                     (5, 2, F(47, 32), 164)):
+    for levels, n, ratio, pivots in ((4, 2, F(23, 16), 43), (2, 4, F(19, 16), 126),
+                                     (5, 2, F(47, 32), 101)):
         table = builtin_table(BidGrid(F(1), levels, n), "f2")
         A, b, nvars = _revenue_system(table, None)
+        # one cover row per point and one mass row per direction, nothing else
+        assert len(A) == levels**n + n * levels ** (n - 1)
         res = solve_lp([F(1)] + [F(0)] * (nvars - 1), A_ub=A, b_ub=b)
         assert (res.status, res.objective, res.pivots) == (LPStatus.OPTIMAL, ratio, pivots)
 
@@ -230,3 +232,54 @@ def test_random_lps_with_equalities_match_brute_force():
             for row, bound in zip(A_eq, b_eq):
                 assert sum(a * v for a, v in zip(row, res.x)) == bound
     assert min(seen.values()) >= 20, seen
+
+
+def test_row_scaling_and_int_entries_change_nothing():
+    # A positive multiple of a row leaves the region, hence the status and
+    # the optimum, unchanged.  Where every row is a <= row with rhs >= 0 its
+    # slack starts the basis, every reduced cost keeps its sign and every
+    # ratio rhs/a its value, so Bland's rule takes the same pivots to the same
+    # x.  (A row that needs an artificial is weighted by its scale in phase
+    # one, which may change the pivots there.)  Int entries equal to the
+    # Fractions they replace give the same primitive integer rows, so they
+    # change nothing at all.
+    rng = random.Random(20261018)
+
+    def coef():
+        return F(rng.randrange(-5, 6), rng.choice((1, 1, 2, 3, 7)))
+
+    def scaled(rows, rhs):
+        factors = [rng.randrange(1, 12) for _ in rhs]
+        return ([[k * v for v in row] for k, row in zip(factors, rows)],
+                [k * v for k, v in zip(factors, rhs)])
+
+    def as_ints(values):
+        return [int(v) if v.denominator == 1 else v for v in values]
+
+    def outcome(res):
+        return res.status, res.objective, res.x, res.pivots
+
+    slack_started = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        m_eq = rng.randrange(0, 3)
+        m_ub = rng.randrange(0, 6 - m_eq)
+        c = [coef() for _ in range(n)]
+        A_ub = [[coef() for _ in range(n)] for _ in range(m_ub)]
+        b_ub = [coef() for _ in range(m_ub)]
+        A_eq = [[coef() for _ in range(n)] for _ in range(m_eq)]
+        b_eq = [coef() for _ in range(m_eq)]
+        if rng.random() < 0.4:  # no artificials: <= rows with rhs >= 0 only
+            A_eq, b_eq, b_ub = [], [], [abs(v) for v in b_ub]
+        base = outcome(solve_lp(c, A_ub, b_ub, A_eq, b_eq))
+        moved = outcome(solve_lp(c, *scaled(A_ub, b_ub), *scaled(A_eq, b_eq)))
+        assert moved[:2] == base[:2]
+        if not A_eq and min(b_ub, default=0) >= 0:
+            assert moved == base
+            slack_started += 1
+        ints = [[as_ints(row) for row in A_ub], as_ints(b_ub),
+                [as_ints(row) for row in A_eq], as_ints(b_eq)]
+        assert outcome(solve_lp(as_ints(c), *ints)) == base
+    assert slack_started > 100
+    int_only = solve_lp([-3, -5], A_ub=[[1, 2], [3, 2]], b_ub=[14, 18])
+    assert (int_only.objective, int_only.x) == (-36, [F(2), F(6)])
