@@ -10,13 +10,17 @@ attainability and every step cut count wherever they are made.  A
 row passes when the evaluated ratio equals the optimal ratio exactly and
 ``verify_ls2`` holds; the script exits 1 if any row fails.  The rows are f2
 and maxv on 8x2, 4x3 and 3x4, and f2 on 6x3, 4x4, 16x2 and 32x2 (1,024
-points, the cut's bound), all at delta 1.
+points, the cut's bound), all at delta 1.  Each row also records, as the
+observer sees it, the bit length of the synthesis state's final unit
+(``unit_bits``) and how many steps grew it (``unit_growths``); both are null
+for a ``src`` whose state keeps no unit.
 
 The machine's core count and the Python and NumPy versions are recorded
 with them.  ``--parent FILE`` copies the rows and machine of an earlier
 output (say, of the parent commit's ``src``, run with this script) under the
-key ``parent``, so one file holds both sides.  Run from the root of a source
-checkout:
+key ``parent``, so one file holds both sides; the script then also exits 1
+if any row's ratio, steps, steps by event or cuts differ from the parent's
+row of the same kind and grid.  Run from the root of a source checkout:
 
     PYTHONPATH=src python scripts/bench_synthesis.py [--out FILE] [--parent FILE]
 """
@@ -47,16 +51,22 @@ ROWS = [
 
 
 class StepCounter:
-    """Synthesis observer counting the steps by the event that ended them."""
+    """Synthesis observer counting the steps by the event that ended them,
+    and the steps that grew the state's unit."""
 
     def __init__(self):
         self.events = collections.Counter()
+        self.unit = None
+        self.growths = 0
 
     def initial(self, state):
-        pass
+        self.unit = getattr(state, "unit", None)
 
     def step(self, number, state, direction, outcome):
         self.events[outcome.handled.value] += 1
+        if self.unit is not None and state.unit > self.unit:
+            self.growths += 1
+            self.unit = state.unit
 
     def finished(self, steps):
         pass
@@ -102,6 +112,8 @@ def bench_row(kind: str, levels: int, n: int) -> dict:
         "kind": kind, "grid": f"{levels}x{n}", "delta": "1", "points": levels**n,
         "ratio": str(lam), "steps": sum(counter.events.values()),
         "steps_by_event": dict(sorted(counter.events.items())), "cuts": cuts,
+        "unit_bits": None if counter.unit is None else counter.unit.bit_length(),
+        "unit_growths": None if counter.unit is None else counter.growths,
         "optimal_s": optimal_s, "synthesize_s": synthesize_s,
         "evaluate_s": evaluate_s,
         "evaluated_equals_optimal": evaluated == lam,
@@ -122,6 +134,7 @@ def main() -> int:
         print(f"# {kind} {levels}x{n}: {row['steps']} steps, {row['cuts']} cuts, "
               f"synthesize {row['synthesize_s']:.2f} s, "
               f"evaluate {row['evaluate_s']:.2f} s, "
+              f"unit {row['unit_bits']} bits after {row['unit_growths']} growths, "
               f"exact {row['evaluated_equals_optimal'] and row['verify_ls2']}",
               flush=True)
 
@@ -143,7 +156,25 @@ def main() -> int:
         handle.write("\n")
     print(f"# wrote {args.out}")
     ok = all(r["evaluated_equals_optimal"] and r["verify_ls2"] for r in rows)
+    if args.parent:
+        ok = differing(parent["rows"], rows) == [] and ok
     return 0 if ok else 1
+
+
+def differing(parent_rows: list[dict], rows: list[dict]) -> list[str]:
+    """The rows whose ratio, steps, steps by event or cuts differ from the
+    parent's row of the same kind and grid (or that the parent lacks), each
+    printed as it is found."""
+    keys = ("ratio", "steps", "steps_by_event", "cuts")
+    parent = {(r["kind"], r["grid"]): r for r in parent_rows}
+    found = []
+    for row in rows:
+        before = parent.get((row["kind"], row["grid"]), {})
+        changed = [k for k in keys if before.get(k) != row[k]]
+        if changed:
+            found.append(f"{row['kind']} {row['grid']}")
+            print(f"# {found[-1]} differs from the parent in {', '.join(changed)}")
+    return found
 
 
 if __name__ == "__main__":

@@ -71,15 +71,24 @@ def competitive_ratio(profile: AuctionProfile, table: BenchmarkTable) -> RatioRe
     """Maximum of f(b) / expected revenue over the grid.
 
     Unbounded when the benchmark is positive somewhere the auction earns
-    nothing.  Points with zero benchmark contribute nothing.
+    nothing.  Points with zero benchmark contribute nothing.  Each offer row
+    is read once, into its revenue at every own level, so the cost is
+    ``O(n * L^n)`` rather than ``expected_revenue`` at every point.
     """
+    grid = profile.grid
+    running: dict[tuple[int, Point], list[Fraction]] = {}
     best: Fraction | None = None
     argmax: Point | None = None
     for p in sorted(table.grid.points()):
         fv = table[p]
         if fv == 0:
             continue
-        rev = expected_revenue(profile, p)
+        rev = Fraction(0)
+        for i in range(grid.n):
+            key = (i, p[:i] + p[i + 1 :])
+            if key not in running:
+                running[key] = _running_revenue(grid, profile.offer_row(*key))
+            rev += running[key][p[i]]
         if rev == 0:
             return RatioReport(ratio=None, argmax=p)
         ratio = fv / rev
@@ -89,6 +98,17 @@ def competitive_ratio(profile: AuctionProfile, table: BenchmarkTable) -> RatioRe
     if best is None:
         return RatioReport(ratio=Fraction(0), argmax=None)
     return RatioReport(ratio=best, argmax=argmax)
+
+
+def _running_revenue(grid: BidGrid, row: dict[int, Fraction]) -> list[Fraction]:
+    """One offer row's revenue at each own level: its offers at or below it."""
+    revenue = [Fraction(0)] * grid.num_levels
+    for level, prob in row.items():
+        if level <= grid.top:
+            revenue[level] += grid.level_value(level) * prob
+    for t in range(1, grid.num_levels):
+        revenue[t] += revenue[t - 1]
+    return revenue
 
 
 def check_profile_valid(

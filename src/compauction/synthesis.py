@@ -35,6 +35,16 @@ residual graph of the last closure's minimum cut (Picard and Queyranne 1980).
 The state keeps the slack terms, which a step moves only on its direction's
 fibers.  They start at ``g = 1``, where one cut of them decides attainability.
 
+The state is integers over one unit ``U`` per run: ``f``, ``g``, ``x`` and the
+slack terms hold ``v*U`` (``SynthesisState.exact`` reads ``v`` back), and ``U``
+starts as the lcm of the start values' denominators.  The rate terms are
+integers over one fixed scale ``K``: the lcm of the denominators of ``lam`` and
+every ``lam*w(b)``, times the lcm of the level values' numerators, so
+``lam*K`` and ``K/v(c)`` are integers too.  A step's cuts run on these columns
+in the parameter ``T = eps*U/K``.  When ``T`` is not an integer, ``U`` and
+every kept integer grow by its denominator; the step's updates are then all
+integer arithmetic.
+
 Each event shrinks the support, spends a budget, or grows the chain, so the
 loop terminates; when ``f`` is identically zero the accumulated ``x`` solves
 the revenue system at ratio ``lam`` exactly.
@@ -43,30 +53,19 @@ the revenue system at ratio ``lam`` exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
 from compauction.attainability import (
-    CUT_POINT_CAP,
-    Closure,
-    cover_graph,
-    dinkelbach,
-    integer_terms,
-    max_closure,
-    point_terms,
+    CUT_POINT_CAP, Closure, cover_graph, dinkelbach, max_closure, point_terms,
 )
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
-    DEFAULT_POINT_CAP,
-    BidGrid,
-    Point,
-    Upset,
-    check_size,
-    weight_level,
-    weight_others,
+    DEFAULT_POINT_CAP, BidGrid, Point, Upset, check_size, weight_vector,
 )
 
 DEFAULT_STEP_CAP = 10**6
@@ -94,14 +93,22 @@ class StepEvent(Enum):
 class SynthesisState:
     grid: BidGrid
     lam: Fraction
-    f: dict[Point, Fraction]
-    g: list[dict[Point, Fraction]]
-    x: list[dict[Point, list[Fraction]]]
+    f: dict[Point, int]  # f, g, x and slack hold v*unit
+    g: list[dict[Point, int]]
+    x: list[dict[Point, list[int]]]
     chain: list[int]  # S_0 > S_1 > ... > 0 as masks: bit k stands for points[k]
     points: list[Point]  # grid points in lexicographic order: the cut's nodes
     above: list[list[int]]  # indices of each point's covers
     index: dict[Point, int]  # each point's place in ``points``
-    slack: list[Fraction]  # each point's slack term, kept by apply_step
+    slack: list[int]  # each point's slack term, kept by apply_step
+    unit: int  # U, which only grows
+    scale: int  # K
+    fall: list[int]  # each point's lam*w(b)*K
+    spend: list[int]  # each level's K/v(c)
+
+    def exact(self, value: int | Fraction) -> Fraction:
+        """The exact value that a kept integer, or a sum of them, stands for."""
+        return Fraction(value, self.unit)
 
 
 @dataclass
@@ -109,6 +116,7 @@ class Direction:
     i: int
     members: list[Point]  # the b_-i with budget left, sorted
     cut: dict[Point, int]  # lowest level index where f is positive
+    rate: dict[int, int]  # rate_shares: each moving node's term times K
 
 
 @dataclass
@@ -218,11 +226,8 @@ class RevenueTables:
     x: list[dict[Point, list[Fraction]]]
 
     def revenue_at(self, point: Point) -> Fraction:
-        total = Fraction(0)
-        for i in range(self.grid.n):
-            others = point[:i] + point[i + 1 :]
-            total += self.x[i][others][point[i]]
-        return total
+        parts = (self.x[i][point[:i] + point[i + 1 :]][t] for i, t in enumerate(point))
+        return sum(parts, Fraction(0))
 
 
 def _insert_at(others: Point, i: int, t: int) -> Point:
@@ -236,21 +241,21 @@ def support_upset(state: SynthesisState) -> int:
 
 def slack_shares(state: SynthesisState) -> list[Fraction]:
     """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack, in
-    ``state.points`` order, computed from ``f`` and ``g``.
+    ``state.points`` order, computed from ``f`` and ``g`` as exact values.
 
     An upset's slack is the sum of its members' terms.
     """
     shares = []
     for p in state.points:
         a, c = point_terms(state.grid, p, state.f[p], state.g)
-        shares.append(state.lam * c - a)
+        shares.append(state.exact(state.lam * c - a))
     return shares
 
 
-def eq_slack(state: SynthesisState, mask: int) -> Fraction:
-    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset:
-    the sum of the kept terms at the mask's bits."""
-    return sum((state.slack[k] for k in _bits(mask)), Fraction(0))
+def eq_slack(state: SynthesisState, mask: int) -> int:
+    """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset,
+    times the unit: the sum of the kept terms at the mask's bits."""
+    return sum(state.slack[k] for k in _bits(mask))
 
 
 def worst_violation(state: SynthesisState) -> Closure:
@@ -260,7 +265,7 @@ def worst_violation(state: SynthesisState) -> Closure:
     inequality.  A positive scale leaves the largest maximum closure alone,
     so at ``g = 1`` it is the witness ``check_attainable`` names.
     """
-    (slack,) = integer_terms(state.slack)
+    slack = state.slack
     return max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
 
 
@@ -288,28 +293,31 @@ def pick_direction(state: SynthesisState) -> Direction:
                 o: next(t for t in levels if state.f[_insert_at(o, i, t)] > 0)
                 for o in members
             }
-            return Direction(i, members, cut)
+            return Direction(i, members, cut, rate_shares(state, i, cut))
     raise SynthesisInvariantError("no coordinate has budgeted mass left")
 
 
-def rate_shares(state: SynthesisState, d: Direction) -> dict[Point, Fraction]:
-    """Each point's term of how fast an upset's slack shrinks per unit of eps.
+def rate_shares(state: SynthesisState, i: int, cut: dict[Point, int]) -> dict[int, int]:
+    """Each node's term of how fast an upset's slack shrinks per unit of eps,
+    times the rate scale ``K``.
 
     Only the direction's fibers at or above their cuts move: each such point
     takes ``-lam * w(b_-i) * w(t)`` (the left side drops), and the fiber's top
     point, which an upset holds exactly when it meets the fiber's projection,
-    also takes the right side's ``lam * w(b_-i)/c_i``.  An upset's rate is the
-    sum of its members' terms; it is zero for every chain set, whose fibers
-    above the cut are full and telescope to ``1/c_i``.
+    also takes the right side's ``lam * w(b_-i)/c_i``, the sum of the fiber's
+    terms, since the level weights at or above ``c_i`` telescope to ``1/c_i``.
+    An upset's rate is the sum of its members' terms; so it is zero for every
+    chain set, whose fibers above the cut are full.
     """
-    grid = state.grid
-    shares: dict[Point, Fraction] = {}
-    for others in d.members:
-        w_o = state.lam * weight_others(grid, others)
-        cl = d.cut[others]
-        for t in range(cl, grid.num_levels):
-            shares[_insert_at(others, d.i, t)] = -w_o * weight_level(grid, t)
-        shares[_insert_at(others, d.i, grid.top)] += w_o / grid.level_value(cl)
+    index, fall = state.index, state.fall
+    shares: dict[int, int] = {}
+    for others, cl in cut.items():
+        total = 0
+        for t in range(cl, state.grid.num_levels):
+            k = index[_insert_at(others, i, t)]
+            shares[k] = -fall[k]
+            total += fall[k]
+        shares[k] += total
     return shares
 
 
@@ -321,66 +329,71 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
     while that closure is worth more than the empty set.  Slack is never
     negative, so the closure at the final eps is worth 0 and its minimum cuts
     are the sets that bind there; an already-tight set with positive rate
-    binds at eps zero.
+    binds at eps zero.  The cuts run in ``T = eps*U/K``, on the kept slack
+    and the direction's rate as they stand.
     """
-    grid = state.grid
-    moving = [
-        _insert_at(o, d.i, t)
-        for o in d.members
-        for t in range(d.cut[o], grid.num_levels)
-    ]
-    budgets = [state.g[d.i][o] * grid.level_value(d.cut[o]) for o in d.members]
-    bound_f = min(state.f[p] for p in moving) / state.lam
-    rates = rate_shares(state, d)
-    zero = Fraction(0)
-    slack, rate = integer_terms(state.slack, [rates.get(p, zero) for p in state.points])
-    eps, cut = dinkelbach(
-        state.above, [-s for s in slack], [-r for r in rate], min(bound_f, *budgets)
+    grid, f, g, lam = state.grid, state.f, state.g[d.i], state.lam
+    moving = [state.points[k] for k in sorted(d.rate)]
+    drop = lam.numerator * (state.scale // lam.denominator)
+    spend = {o: state.spend[d.cut[o]] for o in d.members}
+    bound = min(
+        Fraction(min(f[p] for p in moving), drop),
+        *(Fraction(g[o], spend[o]) for o in d.members),
     )
+    rate = [-d.rate.get(k, 0) for k in range(len(state.points))]
+    step, cut = dinkelbach(state.above, [-s for s in state.slack], rate, bound)
 
-    drop = state.lam * eps
-    f_hits = sorted(p for p in moving if state.f[p] == drop)
-    g_hits = [o for o, budget in zip(d.members, budgets) if budget == eps]
-    if f_hits:
-        handled = StepEvent.F_ZERO
-    elif g_hits:
-        handled = StepEvent.G_ZERO
-    else:
-        handled = StepEvent.NEW_TIGHT
+    num, den = step.numerator, step.denominator
+    f_hits = [p for p in moving if f[p] * den == drop * num]
+    g_hits = [o for o in d.members if g[o] * den == spend[o] * num]
+    handled = (StepEvent.F_ZERO if f_hits else
+               StepEvent.G_ZERO if g_hits else StepEvent.NEW_TIGHT)
     index = state.index
     fibers = [
         (index[_insert_at(o, d.i, grid.top)], index[_insert_at(o, d.i, d.cut[o])])
         for o in d.members
     ]
     tight = TightLattice(grid, state.points, cut, fibers)
+    eps = Fraction(num * state.scale, den * state.unit)
     return StepOutcome(eps, f_hits, g_hits, handled, tight)
 
 
 def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
     """Shift mass eps onto x along the direction; shrink f and g to match.
 
-    The kept slack moves by ``-eps`` times the rate shares.
+    The kept slack moves by ``-eps`` times the rate shares.  First the unit
+    grows, if it must, until ``T = eps*U/K`` is an integer.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     if eps == 0:
         return
-    grid = state.grid
-    drop = state.lam * eps
+    step = eps * state.unit / state.scale
+    if step.denominator > 1:  # grow U, and every kept integer, until T is whole
+        factor = step.denominator
+        state.unit *= factor
+        state.f = {p: v * factor for p, v in state.f.items()}
+        state.g = [{o: v * factor for o, v in t.items()} for t in state.g]
+        state.x = [{o: [v * factor for v in r] for o, r in t.items()} for t in state.x]
+        state.slack = [s * factor for s in state.slack]
+    step = step.numerator
+    grid, f, g, lam = state.grid, state.f, state.g[d.i], state.lam
+    drop = lam.numerator * (state.scale // lam.denominator) * step
+    put = state.scale * step
     for others in d.members:
         cl = d.cut[others]
-        state.g[d.i][others] -= eps / grid.level_value(cl)
-        if state.g[d.i][others] < 0:
+        g[others] -= state.spend[cl] * step
+        if g[others] < 0:
             raise SynthesisInvariantError("mass budget went negative")
         row = state.x[d.i][others]
         for t in range(cl, grid.num_levels):
             p = _insert_at(others, d.i, t)
-            state.f[p] -= drop
-            if state.f[p] < 0:
+            f[p] -= drop
+            if f[p] < 0:
                 raise SynthesisInvariantError("working benchmark went negative")
-            row[t] += eps
-    for p, r in rate_shares(state, d).items():
-        state.slack[state.index[p]] -= eps * r
+            row[t] += put
+    for k, r in d.rate.items():
+        state.slack[k] -= step * r
 
 
 def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
@@ -446,24 +459,30 @@ def synthesize(
     grid = table.grid
     check_synthesis_size(grid)
     points, above = cover_graph(grid)
+    others = list(grid.others_points())
+    start = [Fraction(table.values[p]) for p in points]
+    terms = (point_terms(grid, p, v) for p, v in zip(points, start))
+    slack = [lam * c - a for a, c in terms]
+    unit = math.lcm(*(v.denominator for v in start + slack))
+    falls = [lam * weight_vector(grid, p) for p in points]
+    scale = math.lcm(lam.denominator, *(w.denominator for w in falls))
+    scale *= math.lcm(*(v.numerator for v in grid.ladder))
     state = SynthesisState(
         grid=grid,
         lam=lam,
-        f={p: Fraction(v) for p, v in table.values.items()},
-        g=[
-            {o: Fraction(1) for o in grid.others_points()} for _ in range(grid.n)
-        ],
-        x=[
-            {o: [Fraction(0)] * grid.num_levels for o in grid.others_points()}
-            for _ in range(grid.n)
-        ],
+        f={p: int(v * unit) for p, v in zip(points, start)},
+        g=[dict.fromkeys(others, unit) for _ in range(grid.n)],
+        x=[{o: [0] * grid.num_levels for o in others} for _ in range(grid.n)],
         chain=[],
         points=points,
         above=above,
         index={p: k for k, p in enumerate(points)},
-        slack=[],
+        slack=[int(s * unit) for s in slack],
+        unit=unit,
+        scale=scale,
+        fall=[int(w * scale) for w in falls],
+        spend=[scale // v.numerator * v.denominator for v in grid.ladder],
     )
-    state.slack = slack_shares(state)
     worst = worst_violation(state)
     if worst.value > 0:
         raise NotAttainableError(
@@ -489,7 +508,8 @@ def synthesize(
             observer.step(steps, state, direction, outcome)
     if observer is not None:
         observer.finished(steps)
-    return RevenueTables(grid, state.x)
+    x = [{o: [state.exact(v) for v in row] for o, row in t.items()} for t in state.x]
+    return RevenueTables(grid, x)
 
 
 def check_invariants(
@@ -506,7 +526,7 @@ def check_invariants(
     """
     grid = state.grid
 
-    if state.slack != slack_shares(state):
+    if [state.exact(s) for s in state.slack] != slack_shares(state):
         raise SynthesisInvariantError("kept slack differs from the recomputed one")
     worst = worst_violation(state)
     if worst.value > 0:
@@ -535,28 +555,23 @@ def check_invariants(
             if val < 0:
                 raise SynthesisInvariantError(f"budget negative at i={i} {others}")
     for upper, lower in zip(state.chain, state.chain[1:]):
-        for i in range(grid.n):
+        for i, budget in enumerate(state.g):
             layer = layer_fibers(state, upper, lower, i)
-            for a in layer:
-                for b in layer:
-                    if a != b and all(s <= t for s, t in zip(a, b)):
-                        if state.g[i][a] < state.g[i][b]:
-                            raise SynthesisInvariantError(
-                                f"budget increases along layer at i={i}: {a} -> {b}"
-                            )
+            for a, b in ((a, b) for a in layer for b in layer if a != b):
+                if all(s <= t for s, t in zip(a, b)) and budget[a] < budget[b]:
+                    raise SynthesisInvariantError(
+                        f"budget increases along layer at i={i}: {a} -> {b}"
+                    )
 
-    for i in range(grid.n):
-        for others, row in state.x[i].items():
-            last = Fraction(0)
-            for t, val in enumerate(row):
-                if val < 0 or val < last:
-                    raise SynthesisInvariantError("revenue row not monotone")
-                last = val
+    for rows in state.x:
+        for row in rows.values():
+            if row[0] < 0 or any(b < a for a, b in zip(row, row[1:])):
+                raise SynthesisInvariantError("revenue row not monotone")
 
     if original is not None:
         rev = RevenueTables(grid, state.x)
         for p in grid.points():
-            if original[p] != state.f[p] + state.lam * rev.revenue_at(p):
+            if original[p] != state.exact(state.f[p] + state.lam * rev.revenue_at(p)):
                 raise SynthesisInvariantError(f"accounting mismatch at {p}")
 
 
@@ -587,9 +602,7 @@ def x_to_z(revenue: RevenueTables) -> AuctionProfile:
     return AuctionProfile(grid, z)
 
 
-def verify_ls2(
-    revenue: RevenueTables, table: BenchmarkTable, lam: Fraction
-) -> bool:
+def verify_ls2(revenue: RevenueTables, table: BenchmarkTable, lam: Fraction) -> bool:
     """Exact check of all four revenue-system constraint families."""
     lam = Fraction(lam)
     grid = revenue.grid
@@ -599,14 +612,9 @@ def verify_ls2(
     for i in range(grid.n):
         for others in grid.others_points():
             row = revenue.x[i][others]
-            mass = Fraction(0)
-            prev = Fraction(0)
-            for t, val in enumerate(row):
-                if val < 0 or val < prev:
-                    return False
-                mass += weight_level(grid, t) * val
-                prev = val
-            if mass > 1:
+            if row[0] < 0 or any(b < a for a, b in zip(row, row[1:])):
+                return False
+            if sum(w * v for w, v in zip(grid.level_weights, row)) > 1:
                 return False
     return True
 
@@ -615,21 +623,13 @@ def _format_value(value: Fraction) -> str:
     """Integers bare, short terminating decimals as decimals, else p/q."""
     if value.denominator == 1:
         return str(value.numerator)
-    rest = value.denominator
-    for prime in (2, 5):
-        while rest % prime == 0:
-            rest //= prime
-    if rest != 1:
-        return f"{value.numerator}/{value.denominator}"
-    places = 1
-    while (10**places) % value.denominator != 0:
-        places += 1
-        if places > 6:
-            return f"{value.numerator}/{value.denominator}"
-    digits = abs(value.numerator) * (10**places) // value.denominator
-    sign = "-" if value.numerator < 0 else ""
-    whole, frac = divmod(digits, 10**places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    for places in range(1, 7):
+        if 10**places % value.denominator == 0:
+            digits = abs(value.numerator) * 10**places // value.denominator
+            whole, frac = divmod(digits, 10**places)
+            sign = "-" if value.numerator < 0 else ""
+            return f"{sign}{whole}.{str(frac).zfill(places)}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _format_point(grid: BidGrid, point: Point) -> str:
@@ -659,38 +659,28 @@ class TraceRecorder:
         check_synthesis_size(grid, trace=True)
         self.grid = grid
         delta = _format_value(grid.delta)
-        lam_s = _format_value(Fraction(lam))
         self.lines: list[str] = [
             "synthesis trace",
             f"grid: delta={delta} levels={grid.num_levels} bidders={grid.n}",
-            f"lambda: {lam_s}",
+            f"lambda: {_format_value(Fraction(lam))}",
         ]
 
     def initial(self, state: SynthesisState) -> None:
-        self.lines.append("")
-        self.lines.append("initial")
+        self.lines += ["", "initial"]
         self._chain(state)
         self._tables(state)
 
     def step(
-        self,
-        number: int,
-        state: SynthesisState,
-        direction: Direction,
-        outcome: StepOutcome,
+        self, number: int, state: SynthesisState, d: Direction, outcome: StepOutcome
     ) -> None:
         grid = self.grid
-        members = ", ".join(_format_others(grid, o) for o in direction.members)
+        members = ", ".join(_format_others(grid, o) for o in d.members)
         cuts = ", ".join(
-            f"{_format_others(grid, o)}: "
-            f"{_format_value(grid.level_value(direction.cut[o]))}"
-            for o in direction.members
+            f"{_format_others(grid, o)}: {_format_value(grid.level_value(d.cut[o]))}"
+            for o in d.members
         )
-        self.lines.append("")
-        self.lines.append(f"step {number}")
-        self.lines.append(
-            f"direction: i={direction.i + 1}  T=[{members}]  c={{{cuts}}}"
-        )
+        self.lines += ["", f"step {number}"]
+        self.lines.append(f"direction: i={d.i + 1}  T=[{members}]  c={{{cuts}}}")
         self.lines.append(f"eps: {_format_value(outcome.eps)}")
         events = []
         if outcome.f_hits:
@@ -698,7 +688,7 @@ class TraceRecorder:
             events.append(f"f=0 at {pts}")
         if outcome.g_hits:
             pts = ", ".join(_format_others(grid, o) for o in outcome.g_hits)
-            events.append(f"g{direction.i + 1}=0 at {pts}")
+            events.append(f"g{d.i + 1}=0 at {pts}")
         if outcome.new_tight:
             sets = ", ".join(_format_set(grid, s) for s in outcome.new_tight)
             events.append(f"new tight {sets}")
@@ -707,48 +697,38 @@ class TraceRecorder:
         self._tables(state)
 
     def finished(self, steps: int) -> None:
-        self.lines.append("")
-        self.lines.append(f"done after {steps} steps")
+        self.lines += ["", f"done after {steps} steps"]
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
     def _chain(self, state: SynthesisState) -> None:
-        parts = " > ".join(
-            _format_set(self.grid, _members(state.points, s)) for s in state.chain
-        )
-        self.lines.append(f"chain: {parts}")
+        sets = (_format_set(self.grid, _members(state.points, s)) for s in state.chain)
+        self.lines.append(f"chain: {' > '.join(sets)}")
 
     def _tables(self, state: SynthesisState) -> None:
         grid = self.grid
-        self._grid_block("f", {p: state.f[p] for p in grid.points()})
+        self._grid_block("f", {p: state.exact(state.f[p]) for p in grid.points()})
         for i in range(grid.n):
             row = ", ".join(
-                f"{_format_others(grid, o)}: {_format_value(state.g[i][o])}"
-                for o in sorted(state.g[i])
+                f"{_format_others(grid, o)}: {_format_value(state.exact(v))}"
+                for o, v in sorted(state.g[i].items())
             )
             self.lines.append(f"g{i + 1}: {{{row}}}")
-        for i in range(grid.n):
-            table = {
-                _insert_at(others, i, t): row[t]
-                for others, row in state.x[i].items()
-                for t in range(grid.num_levels)
-            }
+        for i, rows in enumerate(state.x):
+            table = {_insert_at(o, i, t): state.exact(v)
+                     for o, row in rows.items() for t, v in enumerate(row)}
             self._grid_block(f"x{i + 1}", table)
 
     def _grid_block(self, name: str, values: dict[Point, Fraction]) -> None:
         grid = self.grid
         self.lines.append(f"{name}:")
         if grid.n == 2:
-            cells = {
-                p: _format_value(v) for p, v in values.items()
-            }
+            cells = {p: _format_value(v) for p, v in values.items()}
             width = max(len(s) for s in cells.values())
             for b2 in range(grid.top, -1, -1):
-                row = "  ".join(
-                    cells[(b1, b2)].rjust(width) for b1 in range(grid.num_levels)
-                )
-                self.lines.append(f"  {row}")
+                row = (cells[(b1, b2)].rjust(width) for b1 in range(grid.num_levels))
+                self.lines.append("  " + "  ".join(row))
         else:
             for p in sorted(values):
                 self.lines.append(

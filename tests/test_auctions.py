@@ -64,6 +64,72 @@ def test_competitive_ratio_examples():
     assert report.ratio == 0 and not report.unbounded
 
 
+def per_point_ratio(profile, table):
+    """``competitive_ratio`` by its definition: ``expected_revenue`` at every
+    point, in sorted order."""
+    best = argmax = None
+    for p in sorted(table.grid.points()):
+        if table[p] == 0:
+            continue
+        revenue = expected_revenue(profile, p)
+        if revenue == 0:
+            return None, p
+        if best is None or table[p] / revenue > best:
+            best, argmax = table[p] / revenue, p
+    return (Fraction(0), None) if best is None else (best, argmax)
+
+
+def random_profile(grid, rng, keep=0.8):
+    """Random offer rows, each kept with probability ``keep``; row masses
+    stay at most one."""
+    z = []
+    for _ in range(grid.n):
+        rows = {}
+        for others in grid.others_points():
+            if rng.random() < keep:
+                levels = rng.sample(range(grid.num_levels), rng.randint(0, grid.num_levels))
+                rows[others] = {t: Fraction(1, rng.randint(1, 2 * grid.num_levels))
+                                for t in levels}
+        z.append(rows)
+    return AuctionProfile(grid, z)
+
+
+@pytest.mark.parametrize("grid", small_grids() + [BidGrid(Fraction(1, 3), 4, 2)], ids=str)
+def test_competitive_ratio_matches_the_per_point_definition(grid, rng):
+    """Random profiles with missing and empty rows (so unbounded ratios),
+    random and all-zero benchmarks, and benchmarks that tie everywhere."""
+    zeros = BenchmarkTable(grid, {p: Fraction(0) for p in grid.points()})
+    for _ in range(6):
+        for keep in (1, 0.6):
+            profile = random_profile(grid, rng, keep)
+            tied = {p: 3 * expected_revenue(profile, p) for p in grid.points()}
+            for table in (random_monotone_table(grid, rng, nonzero=True), zeros,
+                          BenchmarkTable(grid, tied), builtin_table(grid, "f2")):
+                report = competitive_ratio(profile, table)
+                assert (report.ratio, report.argmax) == per_point_ratio(profile, table)
+
+
+def test_competitive_ratio_reads_each_offer_row_once():
+    """Profiles that offer every level: ``expected_revenue`` at each point
+    reads ``n * L^n * L`` offers, a running sum per row ``n * L^n``."""
+    reads = [0]
+
+    class Counted(AuctionProfile):
+        def offer_row(self, i, others):
+            row = super().offer_row(i, others)
+            reads[0] += 1 + len(row)
+            return row
+
+    for grid in (BidGrid(Fraction(1, 8), 16, 2), BidGrid(Fraction(1), 4, 3)):
+        dense = {t: Fraction(1, grid.num_levels) for t in range(grid.num_levels)}
+        z = [{o: dict(dense) for o in grid.others_points()} for _ in range(grid.n)]
+        reads[0] = 0
+        report = competitive_ratio(Counted(grid, z), builtin_table(grid, "f2"))
+        assert (report.ratio, report.argmax) == per_point_ratio(
+            AuctionProfile(grid, z), builtin_table(grid, "f2"))
+        assert reads[0] <= 2 * grid.n * grid.num_levels**grid.n
+
+
 def test_check_profile_valid():
     assert check_profile_valid(two_tier_profile()) == (True, None)
     assert check_profile_valid(zero_profile(G22)) == (True, None)

@@ -54,6 +54,12 @@ def summed(state, shares, upset):
     return sum((shares[state.index[p]] for p in upset.points), Fraction(0))
 
 
+def exact_rates(state, d):
+    """``rate_shares`` of a direction by point, as exact values."""
+    shares = rate_shares(state, d.i, d.cut)
+    return {state.points[k]: Fraction(r, state.scale) for k, r in shares.items()}
+
+
 class Snapshots:
     """Observer keeping a deep copy of the state after every step."""
 
@@ -67,9 +73,11 @@ class Snapshots:
         self.total = None
 
     def _keep(self, state):
-        self.f.append(dict(state.f))
-        self.g.append([dict(t) for t in state.g])
-        self.x.append(copy.deepcopy(state.x))
+        exact = state.exact
+        self.f.append({p: exact(v) for p, v in state.f.items()})
+        self.g.append([{o: exact(v) for o, v in t.items()} for t in state.g])
+        self.x.append(
+            [{o: [exact(v) for v in row] for o, row in t.items()} for t in state.x])
         self.chains.append([members(state, s) for s in state.chain])
 
     def initial(self, state):
@@ -195,6 +203,30 @@ def test_two_tier_trace_is_stable():
     assert recorder.text() == golden
 
 
+def test_a_run_that_grows_its_unit_keeps_its_trace():
+    """f2 on 2x2 at delta 5/2 and its optimum 59/49: the unit grows by an
+    integer factor in the first step and again later, and the trace stays
+    byte-identical to the pinned one."""
+    grid, lam = BidGrid(Fraction(5, 2), 2, 2), Fraction(59, 49)
+    units = []
+
+    class UnitWatch(TraceRecorder):
+        def initial(self, state):
+            units.append(state.unit)
+            super().initial(state)
+
+        def step(self, number, state, direction, outcome):
+            units.append(state.unit)
+            super().step(number, state, direction, outcome)
+
+    recorder = UnitWatch(grid, lam)
+    synthesize(builtin_table(grid, "f2"), lam, observer=recorder)
+    golden = (DATA / "f2_2x2_delta_5_2_trace.txt").read_text(encoding="utf-8")
+    assert recorder.text() == golden
+    assert all(b % a == 0 for a, b in zip(units, units[1:]))
+    assert units[1] > units[0] and any(b > a for a, b in zip(units[1:], units[2:]))
+
+
 @pytest.mark.parametrize("grid", small_grids(), ids=str)
 def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
     """Each step moves every upset's slack by eps times its summed rate shares."""
@@ -205,7 +237,7 @@ def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
         return sum((rates.get(p, 0) for p in points), Fraction(0))
 
     def checked_step(state, d, eps):
-        rates = rate_shares(state, d)
+        rates = exact_rates(state, d)
         assert all(rate(rates, members(state, s)) == 0 for s in state.chain)
         before = slack_shares(state)
         apply_step(state, d, eps)
@@ -232,10 +264,12 @@ def scan_step(state, d):
     enumeration order.
     """
     grid, lam = state.grid, state.lam
+    f = {p: state.exact(v) for p, v in state.f.items()}
+    g = {o: state.exact(v) for o, v in state.g[d.i].items()}
     fibers = [(o, t) for o in d.members for t in range(d.cut[o], grid.num_levels)]
-    bound_f = min(state.f[synthesis._insert_at(o, d.i, t)] / lam for o, t in fibers)
-    bound_g = min(state.g[d.i][o] * grid.level_value(d.cut[o]) for o in d.members)
-    rates, shares = rate_shares(state, d), slack_shares(state)
+    bound_f = min(f[synthesis._insert_at(o, d.i, t)] / lam for o, t in fibers)
+    bound_g = min(g[o] * grid.level_value(d.cut[o]) for o in d.members)
+    rates, shares = exact_rates(state, d), slack_shares(state)
     binding = []
     for upset in enumerate_upsets(grid):
         rate = sum((rates.get(p, 0) for p in upset.points), Fraction(0))
@@ -244,9 +278,9 @@ def scan_step(state, d):
             binding.append((slack / rate, upset))
     eps = min([bound_f, bound_g] + [e for e, _ in binding])
     f_hits = sorted(synthesis._insert_at(o, d.i, t) for o, t in fibers
-                    if state.f[synthesis._insert_at(o, d.i, t)] == lam * eps)
+                    if f[synthesis._insert_at(o, d.i, t)] == lam * eps)
     g_hits = sorted(o for o in d.members
-                    if state.g[d.i][o] * grid.level_value(d.cut[o]) == eps)
+                    if g[o] * grid.level_value(d.cut[o]) == eps)
     handled = (StepEvent.F_ZERO if f_hits else
                StepEvent.G_ZERO if g_hits else StepEvent.NEW_TIGHT)
     return eps, f_hits, g_hits, handled, [u for e, u in binding if e == eps]
@@ -527,10 +561,10 @@ def test_check_invariants_rejects_a_broken_chain(corrupt, message):
         chain[1], chain[2] = chain[2], chain[1]
     elif corrupt == "loose":  # closed and between its neighbours, slack 1/4
         chain[1] = mask((0, 1), (1, 0), (1, 1))
-        assert eq_slack(state, chain[1]) == Fraction(1, 4)
+        assert state.exact(eq_slack(state, chain[1])) == Fraction(1, 4)
     else:  # below S_1 and tight, but (1,0) lacks its cover (1,1)
         chain[2] = mask((1, 0))
-        assert eq_slack(state, chain[2]) == 0
+        assert state.exact(eq_slack(state, chain[2])) == 0
     with pytest.raises(SynthesisInvariantError, match=message):
         check_invariants(state)
 
