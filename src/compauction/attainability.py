@@ -152,18 +152,17 @@ class Closure:
     residual: list[dict[int, int]]
 
     @functools.cached_property
-    def components(self) -> tuple[list[int], list[int], list[int]]:
-        """Strongly connected components of the residual graph: each node's
-        component, and each component's nodes and reach as bit masks.
+    def reach(self) -> list[int]:
+        """The nodes each node reaches along residual arcs, as bit masks.
 
-        Tarjan's algorithm emits components sinks first, so each component
-        reaches its own nodes and whatever its successors reach.
+        Tarjan's algorithm emits strongly connected components sinks first,
+        so each component reaches its own nodes and whatever its successors
+        reach.
         """
         succ = [[v for v, left in arcs.items() if left > 0] for arcs in self.residual]
         order = [-1] * len(succ)
         low = [0] * len(succ)
         comp = [-1] * len(succ)
-        comp_own: list[int] = []
         comp_reach: list[int] = []
         stack: list[int] = []
         visited = 0
@@ -191,20 +190,18 @@ class Closure:
                 if work:
                     low[work[-1][0]] = min(low[work[-1][0]], low[u])
                 if low[u] == order[u]:
-                    members, own = [], 0
+                    members, mask = [], 0
                     while not members or members[-1] != u:
                         w = stack.pop()
                         comp[w] = len(comp_reach)
                         members.append(w)
-                        own |= 1 << w
-                    mask = own
+                        mask |= 1 << w
                     for w in members:
                         for v in succ[w]:
                             if comp[v] != comp[u]:
                                 mask |= comp_reach[comp[v]]
-                    comp_own.append(own)
                     comp_reach.append(mask)
-        return comp, comp_own, comp_reach
+        return [comp_reach[k] for k in comp]
 
 
 def max_closure(

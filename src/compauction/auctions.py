@@ -79,7 +79,7 @@ def competitive_ratio(profile: AuctionProfile, table: BenchmarkTable) -> RatioRe
     running: dict[tuple[int, Point], list[Fraction]] = {}
     best: Fraction | None = None
     argmax: Point | None = None
-    for p in sorted(table.grid.points()):
+    for p in table.grid.points():  # lexicographic; a tie keeps the first
         fv = table[p]
         if fv == 0:
             continue

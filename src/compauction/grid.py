@@ -202,10 +202,10 @@ class Upset:
     """An upward-closed set of bid vectors on a ``num_levels^n`` grid.
 
     Stored as a full membership set rather than its minimal antichain.  This
-    is the form in which sets leave the solvers (attainability witnesses and
-    a trace's new tight sets) and in which the enumeration oracle lists them;
-    the cuts and the synthesis chain keep bit masks over the grid points
-    instead.  Closure is checked on construction.
+    is the form in which attainability witnesses leave the solvers and in
+    which the enumeration oracle lists upsets, a trace's new tight sets among
+    them; the cuts and the synthesis chain keep bit masks over the grid
+    points instead.  Closure is checked on construction.
     """
 
     num_levels: int

@@ -30,8 +30,9 @@ of three boundary events, handled in this order:
 Both an upset's slack and its rate of change are sums of per-point terms, so
 no step lists upsets: the step bound is a Dinkelbach iteration over maximum
 closures of ``eps*rate - slack`` (Dinkelbach 1967, ``attainability.dinkelbach``),
-and the sets a new-tight event splices into the chain are read off the
-residual graph of the last closure's minimum cut (Picard and Queyranne 1980).
+and the sets a new-tight event splices into the chain are read off the last
+closure (``StepOutcome.least_sets``).  Only a trace lists upsets, by the
+enumeration oracle within its bound.
 The state keeps the slack terms, which a step moves only on its direction's
 fibers.  They start at ``g = 1``, where one cut of them decides attainability.
 
@@ -52,7 +53,6 @@ the revenue system at ratio ``lam`` exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -65,7 +65,7 @@ from compauction.attainability import (
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
-    DEFAULT_POINT_CAP, BidGrid, Point, Upset, check_size, weight_vector,
+    DEFAULT_POINT_CAP, BidGrid, Point, check_size, enumerate_upsets, weight_vector,
 )
 
 DEFAULT_STEP_CAP = 10**6
@@ -119,76 +119,6 @@ class Direction:
     rate: dict[int, int]  # rate_shares: each moving node's term times K
 
 
-@dataclass
-class TightLattice:
-    """Every upset whose slack reaches zero at a step's eps.
-
-    These are the maximum closures of ``eps*rate - slack``, whose value is 0
-    at the final eps, so they are the minimum cuts of the step's last closure:
-    the closed sets of its residual graph that hold the source but not the
-    sink (Picard and Queyranne 1980).  Sets are bit masks over the cut's
-    nodes: bit ``k`` is ``points[k]``, then come the source and the sink.
-    """
-
-    grid: BidGrid
-    points: list[Point]
-    cut: Closure  # the step's last closure
-    fibers: list[tuple[int, int]]  # (top, cut) node of each member's fiber
-
-    @functools.cached_property
-    def reach(self) -> list[int]:
-        """The nodes each node reaches along residual arcs, as bit masks."""
-        comp, _, comp_reach = self.cut.components
-        return [comp_reach[c] for c in comp]
-
-    def least_sets(self, free: int) -> list[int]:
-        """Each least tight set ``M(p, o)`` with positive rate, in key order.
-
-        ``M(p, o)`` is the least tight set holding point ``p`` (a bit of
-        ``free``) and the top point of member fiber ``o``: what ``p`` and
-        that top point reach, unless that takes in the sink, when no tight
-        set holds both.  (The last closure is worth 0, so every source arc is
-        saturated and the source itself reaches nothing.)  It has positive
-        rate unless it also holds the fiber's cut point.  The key is
-        ``(len, sorted points)``.
-        """
-        reach = self.reach
-        source, sink = len(self.points), len(self.points) + 1
-        found = set()
-        for p in _bits(free):
-            for top, cut in self.fibers:
-                least = reach[p] | reach[top]
-                if not least >> sink & 1 and not least >> cut & 1:
-                    found.add(least & ~(1 << source))
-        return sorted(found, key=lambda s: (s.bit_count(), list(_bits(s))))
-
-    def listing(self) -> list[Upset]:
-        """Every tight upset with positive rate, in ``enumerate_upsets`` order.
-
-        The closed sets are built component by component, sinks first: a
-        component may join a set once everything it reaches is in.  There
-        can be exponentially many, so this is for trace-size grids.
-        """
-        _, comp_own, comp_reach = self.cut.components
-        source, sink = len(self.points), len(self.points) + 1
-        closed = [0]
-        for own, reach in zip(comp_own, comp_reach):
-            if not reach >> sink & 1:
-                closed += [s | reach for s in closed if s | reach == s | own]
-        tight = [
-            s & ~(1 << source)
-            for s in closed
-            if s >> source & 1
-            and any(s >> top & 1 and not s >> cut & 1 for top, cut in self.fibers)
-        ]
-        # enumerate_upsets decides points from the top of the grid down,
-        # leaving each one out before taking it in
-        index = {p: k for k, p in enumerate(self.points)}
-        down = sorted(self.points, key=lambda p: (sum(p), p), reverse=True)
-        tight.sort(key=lambda s: [s >> index[p] & 1 for p in down])
-        return [Upset.of(self.grid, _members(self.points, s)) for s in tight]
-
-
 def _bits(mask: int) -> Iterable[int]:
     while mask:
         low = mask & -mask
@@ -203,19 +133,41 @@ def _members(points: list[Point], mask: int) -> list[Point]:
 
 @dataclass
 class StepOutcome:
+    """A step's eps, the boundary events at it, and its last closure.
+
+    The upsets whose slack reaches zero at eps are the maximum closures of
+    ``eps*rate - slack``, whose value is 0 at the final eps, so they are the
+    minimum cuts of the step's last closure: the closed sets of its residual
+    graph that hold the source but not the sink (Picard and Queyranne 1980).
+    """
+
     eps: Fraction
     f_hits: list[Point]
     g_hits: list[Point]
     handled: StepEvent
-    tight: TightLattice
+    cut: Closure  # the step's last closure
+    fibers: list[tuple[int, int]]  # (top, cut) node of each member's fiber
 
-    @functools.cached_property
-    def new_tight(self) -> list[Upset]:
-        """The upsets that bind at eps: zero slack after the step, positive rate.
+    def least_sets(self, free: int) -> list[int]:
+        """Each least tight set ``M(p, o)`` with positive rate, in key order.
 
-        Listed in ``enumerate_upsets`` order, for observers on trace-size grids.
+        ``M(p, o)`` is the least tight set holding point ``p`` (a bit of
+        ``free``) and the top point of member fiber ``o``: what ``p`` and
+        that top point reach, unless that takes in the sink, when no tight
+        set holds both.  (The last closure is worth 0, so every source arc is
+        saturated and the source itself reaches nothing.)  It has positive
+        rate unless it also holds the fiber's cut point.  The key is
+        ``(len, sorted points)``; sets are bit masks over the cut's nodes.
         """
-        return self.tight.listing()
+        reach = self.cut.reach
+        source, sink = len(reach) - 2, len(reach) - 1
+        found = set()
+        for p in _bits(free):
+            for top, cut in self.fibers:
+                least = reach[p] | reach[top]
+                if not least >> sink & 1 and not least >> cut & 1:
+                    found.add(least & ~(1 << source))
+        return sorted(found, key=lambda s: (s.bit_count(), list(_bits(s))))
 
 
 @dataclass
@@ -353,9 +305,8 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
         (index[_insert_at(o, d.i, grid.top)], index[_insert_at(o, d.i, d.cut[o])])
         for o in d.members
     ]
-    tight = TightLattice(grid, state.points, cut, fibers)
     eps = Fraction(num * state.scale, den * state.unit)
-    return StepOutcome(eps, f_hits, g_hits, handled, tight)
+    return StepOutcome(eps, f_hits, g_hits, handled, cut, fibers)
 
 
 def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
@@ -414,10 +365,10 @@ def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
     # T_j, taken in (len, sorted points) order.  A union that adds nothing is
     # skipped, and so is one that reaches the whole support: its rate against
     # the grown chain is 0.  Only a least set M(p, o) can add a point p, so
-    # those are the only sets the lattice lists.
+    # those are the only sets ``least_sets`` lists.
     head, inner = state.chain[0], state.chain[1]
     inserted = 0
-    for fresh in outcome.tight.least_sets(head & ~inner):
+    for fresh in outcome.least_sets(head & ~inner):
         merged = (fresh & head) | inner
         if merged in (inner, head):
             continue
@@ -433,8 +384,8 @@ def handle_event(state: SynthesisState, outcome: StepOutcome) -> None:
 def check_synthesis_size(grid: BidGrid, trace: bool = False) -> None:
     """Reject a grid past the cut's bound, before any cut runs.
 
-    A trace lists every new tight set, and there can be exponentially many,
-    so a traced run keeps the enumeration bound.
+    A trace lists every new tight set by enumerating the upsets, so a traced
+    run keeps the enumeration's bound.
     """
     check_size(grid.num_levels, grid.n, CUT_POINT_CAP, "synthesis")
     if trace:
@@ -652,7 +603,10 @@ class TraceRecorder:
 
     Grids with two bidders print as 2-D tables: rows are the second bid
     descending, columns the first bid ascending.  Larger grids fall back to
-    one ``f(point) = value`` line per point.
+    one ``f(point) = value`` line per point.  A step's new tight sets are
+    the upsets that bind at its eps, in ``enumerate_upsets`` order: zero
+    slack after the step, and positive rate, which means holding some member
+    fiber's top point but not its cut point.  The upsets are enumerated once.
     """
 
     def __init__(self, grid: BidGrid, lam: Fraction):
@@ -666,6 +620,10 @@ class TraceRecorder:
         ]
 
     def initial(self, state: SynthesisState) -> None:
+        self.upsets = [
+            (u, sum(1 << state.index[p] for p in u.points))
+            for u in enumerate_upsets(self.grid)
+        ]
         self.lines += ["", "initial"]
         self._chain(state)
         self._tables(state)
@@ -689,8 +647,13 @@ class TraceRecorder:
         if outcome.g_hits:
             pts = ", ".join(_format_others(grid, o) for o in outcome.g_hits)
             events.append(f"g{d.i + 1}=0 at {pts}")
-        if outcome.new_tight:
-            sets = ", ".join(_format_set(grid, s) for s in outcome.new_tight)
+        new_tight = [
+            u for u, m in self.upsets
+            if any(m >> top & 1 and not m >> cut & 1 for top, cut in outcome.fibers)
+            and eq_slack(state, m) == 0
+        ]
+        if new_tight:
+            sets = ", ".join(_format_set(grid, s) for s in new_tight)
             events.append(f"new tight {sets}")
         self.lines.append("events: " + "; ".join(events))
         self._chain(state)

@@ -289,10 +289,9 @@ def test_max_closure_matches_brute_force(rng):
             assert cut.value == best
             assert members in maximizers
             assert all(m | members == members for m in maximizers)
-            comp, _, comp_reach = cut.components
             residual_closed = {
                 m for m in range(1 << size)
-                if all(comp_reach[comp[u]] | m | 1 << source == m | 1 << source
+                if all(cut.reach[u] | m | 1 << source == m | 1 << source
                        for u in [source, *(k for k in range(size) if m >> k & 1)])
             }
             assert residual_closed == maximizers

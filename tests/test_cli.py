@@ -101,6 +101,17 @@ def test_synthesize_golden_trace(capsys, tmp_path):
     assert profile.offer_row(1, (1,)) == {1: Fraction(1)}
 
 
+def test_synthesize_golden_trace_for_three_bidders(capsys, tmp_path):
+    """f2 on 2x3 at its optimum 5/4: the ``f(point) = value`` layout, and
+    new-tight events of up to five sets."""
+    code, out, _ = run(
+        capsys, "synthesize", str(DATA / "f2_2x3_benchmark.json"), "5/4", "--trace",
+        "--output", str(tmp_path / "profile.json"),
+    )
+    assert code == 0
+    assert out == (DATA / "f2_2x3_trace.txt").read_text(encoding="utf-8")
+
+
 def test_synthesize_defaults_to_the_optimal_ratio(capsys, tmp_path):
     out_path = tmp_path / "auction.json"
     code, _, _ = run(capsys, "synthesize", TWO_TIER, "--output", str(out_path))

@@ -60,8 +60,18 @@ def exact_rates(state, d):
     return {state.points[k]: Fraction(r, state.scale) for k, r in shares.items()}
 
 
+def binding_upsets(state, d):
+    """The upsets with zero slack after a step and positive rate along its
+    direction, found by scanning every upset."""
+    rates, shares = exact_rates(state, d), slack_shares(state)
+    return [u for u in enumerate_upsets(state.grid)
+            if summed(state, shares, u) == 0
+            and sum((rates.get(p, 0) for p in u.points), Fraction(0)) > 0]
+
+
 class Snapshots:
-    """Observer keeping a deep copy of the state after every step."""
+    """Observer keeping a deep copy of the state after every step, and each
+    step's new tight sets by a scan."""
 
     def __init__(self):
         self.f = []
@@ -70,6 +80,7 @@ class Snapshots:
         self.chains = []
         self.directions = []
         self.outcomes = []
+        self.new_tight = []
         self.total = None
 
     def _keep(self, state):
@@ -87,6 +98,7 @@ class Snapshots:
         self._keep(state)
         self.directions.append(direction)
         self.outcomes.append(outcome)
+        self.new_tight.append({u.points for u in binding_upsets(state, direction)})
 
     def finished(self, steps):
         self.total = steps
@@ -115,7 +127,7 @@ def test_two_tier_walkthrough_matches_the_published_tables():
     assert (d.i, d.members, d.cut) == (0, [(0,), (1,)], {(0,): 0, (1,): 0})
     assert o.eps == H
     assert o.handled is StepEvent.NEW_TIGHT
-    assert {s.points for s in o.new_tight} == {
+    assert snap.new_tight[0] == {
         up((1, 0), (1, 1)),
         up((1, 1)),
     }
@@ -228,6 +240,31 @@ def test_a_run_that_grows_its_unit_keeps_its_trace():
 
 
 @pytest.mark.parametrize("grid", small_grids(), ids=str)
+def test_trace_lists_the_scanned_tight_sets(grid, rng):
+    """Each traced step's new tight sets are those a scan of every upset's
+    slack and rate finds, in enumeration order."""
+    listed = []
+
+    class ScanWatch(TraceRecorder):
+        def step(self, number, state, direction, outcome):
+            super().step(number, state, direction, outcome)
+            events = next(s for s in reversed(self.lines) if s.startswith("events: "))
+            scanned = binding_upsets(state, direction)
+            sets = ", ".join(synthesis._format_set(grid, u) for u in scanned)
+            assert events.endswith(f"new tight {sets}") if scanned else (
+                "new tight" not in events)
+            listed.append(len(scanned))
+
+    tables = [builtin_table(grid, "f2"), builtin_table(grid, "maxv")]
+    tables += [random_monotone_table(grid, rng, nonzero=True) for _ in range(3)]
+    for table in tables:
+        lam = optimal_ratio(table).ratio
+        for target in (lam, lam * Fraction(5, 4)):
+            synthesize(table, target, observer=ScanWatch(grid, target))
+    assert max(listed) > 1
+
+
+@pytest.mark.parametrize("grid", small_grids(), ids=str)
 def test_rate_shares_give_every_slack_change(grid, rng, monkeypatch):
     """Each step moves every upset's slack by eps times its summed rate shares."""
     apply_step = synthesis.apply_step
@@ -307,7 +344,6 @@ def synthesize_against_the_scan(tables, monkeypatch):
         eps, f_hits, g_hits, handled, new_tight = scan_step(state, d)
         assert (outcome.eps, outcome.f_hits, outcome.g_hits, outcome.handled) == (
             eps, f_hits, g_hits, handled)
-        assert outcome.new_tight == new_tight
         scanned[id(outcome)] = new_tight
         return outcome
 
