@@ -109,7 +109,7 @@ class BenchmarkTable:
 def builtin_numerators(grid: BidGrid, which: str) -> tuple[dict[Point, int], int]:
     """A built-in benchmark at every sorted vector, as integers over one denominator.
 
-    With ``1 + delta = P/Q`` in lowest terms and ``N`` the top level, the
+    With ``1 + delta = P/Q`` (``grid.step``) and ``N`` the top level, the
     ladder times ``Q^N`` is the increasing integer ladder ``P^t Q^(N-t)``.
     Both formulas are positively 1-homogeneous and read the bids only
     through their order, so on an ascending vector ``a`` the benchmark is
@@ -123,8 +123,7 @@ def builtin_numerators(grid: BidGrid, which: str) -> tuple[dict[Point, int], int
         raise ValueError(f"unknown builtin benchmark {which!r}")
     if grid.n < 2:
         raise ValueError("built-in benchmarks need at least two bidders")
-    ratio = 1 + grid.delta
-    P, Q, N = ratio.numerator, ratio.denominator, grid.top
+    (P, Q), N = grid.step, grid.top
     ladder = [P**t * Q ** (N - t) for t in range(grid.num_levels)]
     top = grid.n if which == "f2" else grid.n - 1
     numerators = {}

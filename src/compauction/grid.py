@@ -8,9 +8,10 @@ every tail sum telescope exactly to ``(1+delta)^(-k)``.  Under this weight any
 fixed posted price earns expected revenue exactly 1, which is what makes it the
 worst-case prior for competitive analysis.
 
-Everything here is an exact :class:`fractions.Fraction`.  Tightness detection
-in the synthesis procedure compares rationals for equality, so no floating
-point is allowed in the core.
+Vector weights are integers over ``P^((N+1) width)``, ``1 + delta = P/Q``, kept
+as one ``Fraction`` per class (:func:`weight_numerator`).  All else here is an
+exact :class:`fractions.Fraction`: tightness detection in the synthesis
+procedure compares rationals for equality, so no floating point is allowed.
 """
 
 from __future__ import annotations
@@ -80,28 +81,23 @@ class BidGrid:
         return tuple((1 + self.delta) ** t for t in range(self.num_levels))
 
     @functools.cached_property
+    def step(self) -> tuple[int, int]:
+        """``(P, Q)`` with ``1 + delta = P/Q`` in lowest terms."""
+        return (1 + self.delta).as_integer_ratio()
+
+    @functools.cached_property
     def level_weights(self) -> tuple[Fraction, ...]:
         """Equal-revenue mass of every level, computed once per grid.
 
         ``delta/(1+delta)^(t+1)`` below the top; the top level takes the whole
         remaining tail ``(1+delta)^(-N)`` so the masses sum to 1.
         """
-        below = tuple(
-            self.delta / (1 + self.delta) ** (t + 1) for t in range(self.top)
-        )
-        return below + (Fraction(1) / (1 + self.delta) ** self.top,)
+        return tuple(_product_weight(self, (t,), 1) for t in range(self.num_levels))
 
     @functools.cached_property
-    def product_weights(self) -> dict[Point, Fraction]:
-        """Product weight of every vector of up to ``n`` levels, computed once."""
-        weights = layer = {(): Fraction(1)}
-        for _ in range(self.n):
-            layer = {
-                p + (t,): w * m for p, w in layer.items()
-                for t, m in enumerate(self.level_weights)
-            }
-            weights = weights | layer
-        return weights
+    def weight_classes(self) -> dict[tuple[int, int, int], Fraction]:
+        """Product weights by ``(width, level sum, top count)``, filled on use."""
+        return {}
 
     def points(self) -> Iterator[Point]:
         """All bid vectors, lexicographically."""
@@ -136,13 +132,27 @@ def weight_others(grid: BidGrid, others: Point) -> Fraction:
     return _product_weight(grid, others, grid.n - 1)
 
 
+def weight_numerator(grid: BidGrid, width: int, s: int, m: int) -> int:
+    """Weight of ``width`` levels, sum ``s``, ``m`` on top, over ``P^((N+1) width)``.
+
+    Over ``P^(N+1)`` the level weights are ``(P-Q) Q^t P^(N-t)`` below the
+    top ``N`` and ``Q^N P`` at it, so their product depends on ``(s, m)`` only.
+    """
+    P, Q = grid.step
+    return (P - Q) ** (width - m) * Q**s * P ** (width * grid.top - s + m)
+
+
 def _product_weight(grid: BidGrid, levels: Point, width: int) -> Fraction:
     if len(levels) != width:
         raise ValueError(f"expected {width} coordinates, got {len(levels)}")
-    try:
-        return grid.product_weights[tuple(levels)]
-    except KeyError:
-        raise ValueError(f"level index outside [0, {grid.top}] in {levels}") from None
+    if levels and not 0 <= min(levels) <= max(levels) <= grid.top:
+        raise ValueError(f"level index outside [0, {grid.top}] in {levels}")
+    key = (width, sum(levels), levels.count(grid.top))
+    weight = grid.weight_classes.get(key)
+    if weight is None:
+        den = grid.step[0] ** (grid.num_levels * width)
+        weight = grid.weight_classes[key] = Fraction(weight_numerator(grid, *key), den)
+    return weight
 
 
 def covers(point: Point, top: int) -> Iterator[Point]:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from compauction.benchmarks import BenchmarkTable, SortedValues, builtin_numerators
-from compauction.grid import BidGrid, Point, orbit_size
+from compauction.grid import BidGrid, Point, orbit_size, weight_numerator
 
 if TYPE_CHECKING:  # at run time only the sampler's functions import NumPy
     import numpy as np
@@ -292,26 +292,18 @@ def _weighted_sum(
 ) -> Fraction:
     """``sum w(b) c / den`` over the ``(b, c)`` pairs of ``terms``.
 
-    With ``1 + delta = P/Q`` the level weights are ``(P-Q) Q^t P^(N-t)``
-    below the top and ``Q^N P`` at it, over ``P^(N+1)``.  Their product over
-    a vector with level sum ``s`` and ``m`` coordinates at the top is
-    ``(P-Q)^(n-m) Q^s P^(nN-s+m)``: it depends on ``(s, m)`` alone, and is
-    the same on every arrangement of ``b``.  So the numerators are added up
-    per ``(s, m)``, fewer than ``(n N + 1)(n + 1)`` classes, and each class
-    is multiplied by its weight once.
+    ``w(b)`` depends only on the level sum and top count of ``b``
+    (:func:`compauction.grid.weight_numerator`), so the numerators are added
+    up per class, fewer than ``(n N + 1)(n + 1)`` of them, and each class is
+    multiplied by its weight once.
     """
-    ratio = 1 + grid.delta
-    P, Q = ratio.numerator, ratio.denominator
     n, N = grid.n, grid.top
     classes: dict[tuple[int, int], int] = {}
     for point, c in terms:
         cls = (sum(point), point.count(N))
         classes[cls] = classes.get(cls, 0) + c
-    total = sum(
-        (P - Q) ** (n - m) * Q**s * P ** (n * N - s + m) * c
-        for (s, m), c in classes.items()
-    )
-    return Fraction(total, P ** ((N + 1) * n) * den)
+    total = sum(weight_numerator(grid, n, s, m) * c for (s, m), c in classes.items())
+    return Fraction(total, grid.step[0] ** ((N + 1) * n) * den)
 
 
 def expected_benchmark_discrete(table: BenchmarkTable) -> Fraction:

@@ -25,8 +25,8 @@ from compauction.benchmarks import (
 from compauction.grid import BidGrid, Point, Upset, check_size
 
 MAX_GRID_POINTS = 2**16  # checked before tabulation; 129 levels x 2 bidders fit
-# n * N * bits of 1+delta bounds the size of every point's value and weight;
-# delta = 1/16 on 129 levels x 2 bidders takes 1280.
+# n * N * bits of 1+delta = P/Q bounds a point's value; a weight's denominator
+# P^((N+1) n) is n * bits(P) longer.  delta = 1/16 on 129 levels x 2 takes 1280.
 MAX_LADDER_BITS = 2**12
 
 
@@ -97,8 +97,7 @@ def grid_from_doc(doc: Any) -> BidGrid:
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     check_size(levels, n, MAX_GRID_POINTS, "document")
-    ratio = 1 + grid.delta
-    bits = n * grid.top * max(ratio.numerator, ratio.denominator).bit_length()
+    bits = n * grid.top * max(grid.step).bit_length()
     if bits > MAX_LADDER_BITS:
         raise FormatError(
             f"grid values need {bits} bits (n * N * bits of 1+delta), "

@@ -40,7 +40,7 @@ The state is integers over one unit ``U`` per run: ``f``, ``g``, ``x`` and the
 slack terms hold ``v*U`` (``SynthesisState.exact`` reads ``v`` back), and ``U``
 starts as the lcm of the start values' denominators.  The rate terms are
 integers over one fixed scale ``K``: the lcm of the denominators of ``lam`` and
-every ``lam*w(b)``, times the lcm of the level values' numerators, so
+every ``lam*w(b)``, times the lcm ``P^N`` of the level numerators ``P^t``, so
 ``lam*K`` and ``K/v(c)`` are integers too.  A step's cuts run on these columns
 in the parameter ``T = eps*U/K``.  When ``T`` is not an integer, ``U`` and
 every kept integer grow by its denominator; the step's updates are then all
@@ -417,7 +417,7 @@ def synthesize(
     unit = math.lcm(*(v.denominator for v in start + slack))
     falls = [lam * weight_vector(grid, p) for p in points]
     scale = math.lcm(lam.denominator, *(w.denominator for w in falls))
-    scale *= math.lcm(*(v.numerator for v in grid.ladder))
+    scale *= grid.step[0] ** grid.top
     state = SynthesisState(
         grid=grid,
         lam=lam,

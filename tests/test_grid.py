@@ -1,6 +1,7 @@
 """Grid, weights, and upward-closed-set machinery."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -143,19 +144,64 @@ def test_check_size_never_builds_the_power():
             check_size(levels, n, 2**16, "test")
 
 
-def test_product_weights_are_computed_once():
-    grid = BidGrid(Fraction(1, 3), 3, 3)
-    assert grid.product_weights is grid.product_weights
+def level_mass(delta: Fraction, num_levels: int, t: int) -> Fraction:
+    """``delta/(1+delta)^(t+1)`` below the top level, ``(1+delta)^-N`` at it."""
+    top = num_levels - 1
+    return (1 + delta) ** -top if t == top else delta / (1 + delta) ** (t + 1)
+
+
+# small_grids(), the original 3x3 grid and the BENCH_synthesis.json shapes
+WEIGHT_SHAPES = [(g.num_levels, g.n) for g in small_grids()] + [
+    (3, 3), (8, 2), (4, 3), (3, 4), (6, 3), (4, 4), (16, 2), (32, 2),
+]
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize("shape", WEIGHT_SHAPES, ids=str)
+def test_weights_are_one_product_formula(shape, delta):
+    grid = BidGrid(delta, *shape)
+    mass = [level_mass(delta, grid.num_levels, t) for t in range(grid.num_levels)]
+    assert grid.level_weights == tuple(mass)
     for p in grid.points():
-        expected = Fraction(1)
-        for t in p:
-            expected *= weight_level(grid, t)
+        expected = math.prod(mass[t] for t in p)
         assert weight_vector(grid, p) == expected
-        assert weight_others(grid, p[1:]) == expected / weight_level(grid, p[0])
+        assert weight_others(grid, p[1:]) == expected / mass[p[0]]
+    for bad in ((grid.num_levels,) + (0,) * (grid.n - 1), (-1,) * grid.n):
+        with pytest.raises(ValueError):
+            weight_vector(grid, bad)
+        with pytest.raises(ValueError):
+            weight_others(grid, bad[:-1])
+
+
+def test_weight_range_is_checked_before_the_class_memo():
+    grid = BidGrid(Fraction(1, 3), 3, 3)
+    assert weight_vector(grid, (1, 1, 1)) == weight_level(grid, 1) ** 3
+    # (0, 0, 3) has level sum 3 and no top coordinate, the class of (1, 1, 1)
+    assert (3, 3, 0) in grid.weight_classes
     with pytest.raises(ValueError):
         weight_vector(grid, (0, 0, 3))
     with pytest.raises(ValueError):
         weight_others(grid, (3, 0))
+
+
+@pytest.mark.parametrize("shape", [(10, 6), (20, 5)], ids=str)
+def test_weights_need_no_table_past_the_cap(shape):
+    """10^6 and 3.2x10^6 points: each weight is one class, never a table."""
+    delta = Fraction(1, 3)
+    grid = BidGrid(delta, *shape)
+    n, top = grid.n, grid.top
+    mass = [level_mass(delta, grid.num_levels, t) for t in range(grid.num_levels)]
+    points = [
+        (0,) * n, (top,) * n, tuple(range(n)), tuple(range(n))[::-1],
+        (top,) + (1,) * (n - 1), (2, top, 0) + (top,) * (n - 3),
+    ]
+    classes = set()
+    for p in points:
+        expected = math.prod(mass[t] for t in p)
+        assert weight_vector(grid, p) == expected
+        assert weight_others(grid, p[1:]) == expected / mass[p[0]]
+        classes |= {(len(q), sum(q), q.count(top)) for q in (p, p[1:])}
+    assert len(grid.weight_classes) == len(classes)
 
 
 def test_project_examples():
