@@ -20,7 +20,9 @@ with them.  ``--parent FILE`` copies the rows and machine of an earlier
 output (say, of the parent commit's ``src``, run with this script) under the
 key ``parent``, so one file holds both sides; the script then also exits 1
 if any row's ratio, steps, steps by event or cuts differ from the parent's
-row of the same kind and grid.  Run from the root of a source checkout:
+row of the same kind and grid.  It prints, without failing on them, the rows
+whose ``unit_bits`` or ``unit_growths`` differ, with both values.  Run from
+the root of a source checkout:
 
     PYTHONPATH=src python scripts/bench_synthesis.py [--out FILE] [--parent FILE]
 """
@@ -164,16 +166,23 @@ def main() -> int:
 def differing(parent_rows: list[dict], rows: list[dict]) -> list[str]:
     """The rows whose ratio, steps, steps by event or cuts differ from the
     parent's row of the same kind and grid (or that the parent lacks), each
-    printed as it is found."""
+    printed as it is found.  A row whose unit bits or growths differ is
+    printed with both values too, but not returned: how the state's unit
+    grows is free to change while the steps stay the same."""
     keys = ("ratio", "steps", "steps_by_event", "cuts")
     parent = {(r["kind"], r["grid"]): r for r in parent_rows}
     found = []
     for row in rows:
+        name = f"{row['kind']} {row['grid']}"
         before = parent.get((row["kind"], row["grid"]), {})
         changed = [k for k in keys if before.get(k) != row[k]]
         if changed:
-            found.append(f"{row['kind']} {row['grid']}")
-            print(f"# {found[-1]} differs from the parent in {', '.join(changed)}")
+            found.append(name)
+            print(f"# {name} differs from the parent in {', '.join(changed)}")
+        units = [f"{k} {before.get(k)} -> {row[k]}"
+                 for k in ("unit_bits", "unit_growths") if before.get(k) != row[k]]
+        if units:
+            print(f"# {name} unit differs from the parent: {', '.join(units)}")
     return found
 
 

@@ -32,6 +32,7 @@ from compauction.grid import (
     Upset,
     check_size,
     covers,
+    weight_numerator,
     weight_others,
     weight_tail,
     weight_vector,
@@ -114,26 +115,29 @@ def cover_graph(grid: BidGrid) -> tuple[list[Point], list[list[int]]]:
     return points, [[index[q] for q in covers(p, grid.top)] for p in points]
 
 
-def integer_terms(*columns: Sequence[Fraction]) -> list[list[int]]:
-    """The columns as integers, all scaled by one common positive factor.
-
-    Scaling changes neither the sign of ``a - lam*c`` nor any ratio
-    ``a(S)/c(S)``, and integer capacities keep the cut exact and fast.
-    """
-    scale = math.lcm(*(x.denominator for column in columns for x in column))
-    return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
-
-
-def _closure_terms(
+def closure_terms(
     table: BenchmarkTable,
-) -> tuple[list[Point], list[list[int]], list[int], list[int]]:
-    """Grid points, their covers, and ``a(b)``, ``c(b)`` as scaled integers."""
+) -> tuple[list[Point], list[list[int]], list[int], list[int], int]:
+    """Grid points, their covers, and ``point_terms`` as integers over ``den``.
+
+    ``den = P^((N+1) n) F``, with ``F`` the lcm of the table's denominators.
+    Each of the ``m`` top coordinates of a point leaves the others in one
+    weight class, so ``c`` is ``m`` times one :func:`weight_numerator`.
+    """
     grid = table.grid
     check_cut_size(grid)
     points, above = cover_graph(grid)
-    terms = [point_terms(grid, p, table.values[p]) for p in points]
-    a, c = integer_terms([lhs for lhs, _ in terms], [rhs for _, rhs in terms])
-    return points, above, a, c
+    values = [table.values[p] for p in points]
+    scale = math.lcm(*(v.denominator for v in values))
+    lift = scale * grid.step[0] ** grid.num_levels  # P^(N+1) F
+    a, c = [], []
+    for p, v in zip(points, values):
+        s, m = sum(p), p.count(grid.top)
+        w = weight_numerator(grid, grid.n, s, m)
+        a.append(w * v.numerator * scale // v.denominator)
+        others = weight_numerator(grid, grid.n - 1, s - grid.top, m - 1) if m else 0
+        c.append(m * lift * others)
+    return points, above, a, c, scale * grid.step[0] ** (grid.num_levels * grid.n)
 
 
 @dataclass
@@ -297,7 +301,7 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
     Grids above ``CUT_POINT_CAP`` points raise :class:`DomainTooLargeError`.
     """
     lam = Fraction(lam)
-    points, above, a, c = _closure_terms(table)
+    points, above, a, c, _ = closure_terms(table)
     cut = max_closure(above, a, c, lam)
     if cut.value <= 0:
         return Verdict(attainable=True, lam=lam, witness=None)
@@ -329,7 +333,7 @@ def optimal_ratio(table: BenchmarkTable) -> RatioResult:
     ``lam``, so it ends, and the witness is the largest upset attaining the
     ratio (the full grid for a zero benchmark).
     """
-    points, above, a, c = _closure_terms(table)
+    points, above, a, c, _ = closure_terms(table)
     lam, cut = dinkelbach(above, a, c, Fraction(sum(a), sum(c)))
     return RatioResult(lam, Upset.of(table.grid, (points[k] for k in cut.members)))
 

@@ -85,8 +85,8 @@ class BenchmarkTable:
     ``values`` maps each level-index vector to a rational; a built-in table
     holds them as :class:`SortedValues`, one per sorted vector.  ``kind``
     records whether the table came from a built-in formula, which lets
-    derived constructions (limited supply, coordinate pinning) fall back to
-    the formula where a literal table lookup is impossible.
+    derived constructions (limited supply) fall back to the formula where a
+    literal table lookup is impossible.
     """
 
     grid: BidGrid
@@ -263,18 +263,3 @@ def limited_supply_bounds(
         BenchmarkTable(out_grid, SortedValues(out_grid, upper), kind="custom"),
         BenchmarkTable(out_grid, SortedValues(out_grid, lower), kind="custom"),
     )
-
-
-def fix_lowest_coordinate(table: BenchmarkTable) -> BenchmarkTable:
-    """Pin one coordinate of an (n+1)-bidder benchmark to the grid minimum.
-
-    Produces the n-bidder benchmark ``z -> f(1, z)``.  For the built-in
-    fixed-price benchmark this equals ``max(n+1, f_n(z))`` pointwise, which is
-    the restricted target the scaling reduction synthesizes against.
-    """
-    grid = table.grid
-    if grid.n < 3:
-        raise ValueError("need at least three bidders to pin one coordinate")
-    out_grid = BidGrid(grid.delta, grid.num_levels, grid.n - 1)
-    values = {z: table[(0,) + z] for z in out_grid.points()}
-    return BenchmarkTable(out_grid, values, kind="custom")

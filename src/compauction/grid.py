@@ -251,14 +251,6 @@ class Upset:
     def __iter__(self) -> Iterator[Point]:
         return iter(sorted(self.points))
 
-    def is_symmetric(self) -> bool:
-        """Invariant under every permutation of the coordinates."""
-        return all(
-            tuple(q) in self.points
-            for p in self.points
-            for q in itertools.permutations(p)
-        )
-
 
 def project(upset: Upset, i: int) -> frozenset[Point]:
     """Projection along coordinate ``i``: drop that coordinate from each member.

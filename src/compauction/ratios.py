@@ -169,11 +169,6 @@ class EqualRevenueSampler:
         return bids_from_uniform(u, out=u)
 
 
-def sample_bids(sampler: EqualRevenueSampler) -> np.ndarray:
-    """One bid vector of length n."""
-    return sampler.sample(1)[0]
-
-
 @lru_cache(maxsize=None)
 def merge_exchange_network(n: int) -> tuple[tuple[int, int], ...]:
     """Batcher's merge-exchange sort of ``n`` keys as compare-exchange pairs.

@@ -22,7 +22,7 @@ from compauction.benchmarks import (
     builtin_table,
     validate_table,
 )
-from compauction.grid import BidGrid, Point, Upset, check_size
+from compauction.grid import BidGrid, Point, check_size
 
 MAX_GRID_POINTS = 2**16  # checked before tabulation; 129 levels x 2 bidders fit
 # n * N * bits of 1+delta = P/Q bounds a point's value; a weight's denominator
@@ -211,16 +211,6 @@ def verdict_to_doc(verdict: Verdict) -> dict:
         "witness_upset": witness,
         "method": "cut",
     }
-
-
-def upset_from_doc(doc: Any, grid: BidGrid) -> Upset:
-    if not isinstance(doc, list):
-        raise FormatError("witness upset must be a list of level vectors")
-    points = frozenset(_point_from_doc(p, grid, grid.n) for p in doc)
-    try:
-        return Upset(grid.num_levels, grid.n, points)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
 
 
 def ratio_to_doc(report: RatioReport) -> dict:

@@ -37,14 +37,15 @@ The state keeps the slack terms, which a step moves only on its direction's
 fibers.  They start at ``g = 1``, where one cut of them decides attainability.
 
 The state is integers over one unit ``U`` per run: ``f``, ``g``, ``x`` and the
-slack terms hold ``v*U`` (``SynthesisState.exact`` reads ``v`` back), and ``U``
-starts as the lcm of the start values' denominators.  The rate terms are
-integers over one fixed scale ``K``: the lcm of the denominators of ``lam`` and
-every ``lam*w(b)``, times the lcm ``P^N`` of the level numerators ``P^t``, so
-``lam*K`` and ``K/v(c)`` are integers too.  A step's cuts run on these columns
-in the parameter ``T = eps*U/K``.  When ``T`` is not an integer, ``U`` and
-every kept integer grow by its denominator; the step's updates are then all
-integer arithmetic.
+slack terms hold ``v*U`` (``SynthesisState.exact`` reads ``v`` back).  With
+``attainability.closure_terms`` giving ``a`` and ``c`` over ``P^((N+1) n) F``,
+``U`` starts as that denominator times ``lam``'s, and the slack terms are
+``lam.num*c - lam.den*a``.  The rate terms are integers over the fixed scale
+``K = lam.den P^((N+1) n)``, and so are ``lam*w(b)*K`` and ``K/v(c)``.  A
+step's cuts run on these columns in the parameter ``T = eps*U/K``, ``eps*F``
+while ``U`` has not grown.  When ``T`` is not an integer, ``U`` and every kept
+integer grow by its denominator; the step's updates are then all integer
+arithmetic.
 
 Each event shrinks the support, spends a budget, or grows the chain, so the
 loop terminates; when ``f`` is identically zero the accumulated ``x`` solves
@@ -53,19 +54,18 @@ the revenue system at ratio ``lam`` exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
 from compauction.attainability import (
-    CUT_POINT_CAP, Closure, cover_graph, dinkelbach, max_closure, point_terms,
+    CUT_POINT_CAP, Closure, closure_terms, dinkelbach, max_closure, point_terms,
 )
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
-    DEFAULT_POINT_CAP, BidGrid, Point, check_size, enumerate_upsets, weight_vector,
+    DEFAULT_POINT_CAP, BidGrid, Point, check_size, enumerate_upsets, weight_numerator,
 )
 
 DEFAULT_STEP_CAP = 10**6
@@ -409,29 +409,25 @@ def synthesize(
     lam = Fraction(lam)
     grid = table.grid
     check_synthesis_size(grid)
-    points, above = cover_graph(grid)
+    points, above, a, c, den = closure_terms(table)
+    unit = lam.denominator * den
+    scale = lam.denominator * grid.step[0] ** (grid.num_levels * grid.n)
     others = list(grid.others_points())
-    start = [Fraction(table.values[p]) for p in points]
-    terms = (point_terms(grid, p, v) for p, v in zip(points, start))
-    slack = [lam * c - a for a, c in terms]
-    unit = math.lcm(*(v.denominator for v in start + slack))
-    falls = [lam * weight_vector(grid, p) for p in points]
-    scale = math.lcm(lam.denominator, *(w.denominator for w in falls))
-    scale *= grid.step[0] ** grid.top
     state = SynthesisState(
         grid=grid,
         lam=lam,
-        f={p: int(v * unit) for p, v in zip(points, start)},
+        f={p: table[p].numerator * (unit // table[p].denominator) for p in points},
         g=[dict.fromkeys(others, unit) for _ in range(grid.n)],
         x=[{o: [0] * grid.num_levels for o in others} for _ in range(grid.n)],
         chain=[],
         points=points,
         above=above,
         index={p: k for k, p in enumerate(points)},
-        slack=[int(s * unit) for s in slack],
+        slack=[lam.numerator * y - lam.denominator * x for x, y in zip(a, c)],
         unit=unit,
         scale=scale,
-        fall=[int(w * scale) for w in falls],
+        fall=[lam.numerator * weight_numerator(grid, grid.n, sum(p), p.count(grid.top))
+              for p in points],
         spend=[scale // v.numerator * v.denominator for v in grid.ladder],
     )
     worst = worst_violation(state)

@@ -10,6 +10,8 @@ import pytest
 
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import BidGrid, Upset, is_upward_closed
+from compauction.ratios import EqualRevenueSampler
+from compauction.serialize import FormatError, _point_from_doc
 
 
 def two_tier_table() -> BenchmarkTable:
@@ -35,6 +37,46 @@ def small_grids() -> list[BidGrid]:
         BidGrid(Fraction(1), 3, 2),
         BidGrid(Fraction(1), 2, 3),
     ]
+
+
+def fix_lowest_coordinate(table: BenchmarkTable) -> BenchmarkTable:
+    """Pin one coordinate of an (n+1)-bidder benchmark to the grid minimum.
+
+    Produces the n-bidder benchmark ``z -> f(1, z)``.  For the built-in
+    fixed-price benchmark this equals ``max(n+1, f_n(z))`` pointwise, which is
+    the restricted target the scaling reduction synthesizes against.
+    """
+    grid = table.grid
+    if grid.n < 3:
+        raise ValueError("need at least three bidders to pin one coordinate")
+    out_grid = BidGrid(grid.delta, grid.num_levels, grid.n - 1)
+    values = {z: table[(0,) + z] for z in out_grid.points()}
+    return BenchmarkTable(out_grid, values, kind="custom")
+
+
+def is_symmetric(upset: Upset) -> bool:
+    """Invariant under every permutation of the coordinates."""
+    return all(
+        tuple(q) in upset.points
+        for p in upset.points
+        for q in itertools.permutations(p)
+    )
+
+
+def sample_bids(sampler: EqualRevenueSampler):
+    """One bid vector of length n."""
+    return sampler.sample(1)[0]
+
+
+def upset_from_doc(doc, grid: BidGrid) -> Upset:
+    """The witness upset of a ``check`` document, checked like any input."""
+    if not isinstance(doc, list):
+        raise FormatError("witness upset must be a list of level vectors")
+    points = frozenset(_point_from_doc(p, grid, grid.n) for p in doc)
+    try:
+        return Upset(grid.num_levels, grid.n, points)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def predecessors(point, grid):

@@ -1,6 +1,7 @@
 """Attainability characterization: the min-cut route, and its agreement with
 the enumeration and LP oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,17 +9,22 @@ import pytest
 from compauction.attainability import (
     CUT_POINT_CAP,
     check_attainable,
+    closure_terms,
     condition_sides,
     cover_graph,
     lp_feasible,
     max_closure,
     optimal_ratio,
     optimal_ratio_lp,
+    point_terms,
 )
 from compauction.benchmarks import BenchmarkTable, builtin_table
-from compauction.grid import BidGrid, DomainTooLargeError, Upset, enumerate_upsets
+from compauction.grid import (
+    BidGrid, DomainTooLargeError, Upset, enumerate_upsets, weight_vector,
+)
 from compauction.ratios import expected_benchmark_discrete
 from tests.conftest import (
+    is_symmetric,
     random_monotone_table,
     random_symmetric_monotone_table,
     small_grids,
@@ -48,6 +54,26 @@ def test_condition_sides_rhs_positive_for_nonempty():
     for s in enumerate_upsets(G22):
         _, rhs = condition_sides(table, s)
         assert (rhs > 0) == bool(s.points)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (4, 3), (17, 1)], ids=str)
+def test_closure_terms_are_the_point_terms_over_one_denominator(shape, delta, rng):
+    """The integer terms of every point, over ``P^((N+1) n)`` times the lcm of
+    the table's denominators, are ``w(b) f(b)`` and ``point_terms``' right
+    side, on built-in, random (denominators 1 to 4) and zero tables."""
+    grid = BidGrid(delta, *shape)
+    tables = [random_monotone_table(grid, rng) for _ in range(4)] + [zero_table(grid)]
+    if grid.n > 1:
+        tables += [builtin_table(grid, kind) for kind in ("f2", "maxv")]
+    for table in tables:
+        points, above, a, c, den = closure_terms(table)
+        assert (points, above) == cover_graph(grid)
+        lcm = math.lcm(*(table[p].denominator for p in points))
+        assert den == grid.step[0] ** (grid.num_levels * grid.n) * lcm
+        for p, x, y in zip(points, a, c):
+            assert Fraction(x, den) == weight_vector(grid, p) * table[p]
+            assert Fraction(y, den) == point_terms(grid, p, table[p])[1]
 
 
 def test_check_attainable_two_tier():
@@ -159,10 +185,10 @@ def test_witnesses_of_symmetric_tables_are_symmetric(rng):
         for _ in range(6):
             table = random_symmetric_monotone_table(grid, rng)
             result = optimal_ratio(table)
-            assert result.witness.is_symmetric()
+            assert is_symmetric(result.witness)
             if result.ratio > 0:
                 verdict = check_attainable(table, result.ratio * Fraction(63, 64))
-                assert verdict.witness.is_symmetric()
+                assert is_symmetric(verdict.witness)
 
 
 def test_ratio_scales_with_the_benchmark(rng):

@@ -15,13 +15,14 @@ from compauction.benchmarks import (
     check_monotone,
     check_symmetric,
     f2,
-    fix_lowest_coordinate,
     limited_supply_bounds,
     maxv,
     validate_table,
 )
 from compauction.grid import BidGrid, DomainTooLargeError, arrangements
-from tests.conftest import random_monotone_table, small_grids, two_tier_table
+from tests.conftest import (
+    fix_lowest_coordinate, random_monotone_table, small_grids, two_tier_table,
+)
 
 G22 = BidGrid(Fraction(1), 2, 2)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from compauction import cli, serialize
 from compauction.cli import main
+from tests.conftest import upset_from_doc
 
 DATA = Path(__file__).parent / "data"
 TWO_TIER = str(DATA / "two_tier_benchmark.json")
@@ -357,7 +358,7 @@ def test_emitted_documents_round_trip(capsys, tmp_path):
     _, out, _ = run(capsys, "check", TWO_TIER, "1/2")
     doc = json.loads(out)
     table = serialize.table_from_doc(serialize.load_file(TWO_TIER))
-    witness = serialize.upset_from_doc(doc["witness_upset"], table.grid)
+    witness = upset_from_doc(doc["witness_upset"], table.grid)
     assert len(witness) > 0
     assert serialize.parse_fraction(doc["lambda"]) == Fraction(1, 2)
 

@@ -32,11 +32,11 @@ from compauction.ratios import (
     maxv_tail,
     mc_expected,
     merge_exchange_network,
-    sample_bids,
 )
 from tests.conftest import (
     random_monotone_table,
     random_symmetric_monotone_table,
+    sample_bids,
     small_grids,
     two_tier_table,
 )

@@ -11,7 +11,7 @@ from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid, Upset
 from compauction.serialize import FormatError
 from compauction.synthesis import synthesize, x_to_z
-from tests.conftest import two_tier_table
+from tests.conftest import two_tier_table, upset_from_doc
 
 G22 = BidGrid(Fraction(1), 2, 2)
 
@@ -110,7 +110,7 @@ def test_verdict_and_ratio_docs():
     doc = serialize.verdict_to_doc(verdict)
     assert doc["attainable"] is False
     assert doc["lambda"] == "9/10"
-    witness = serialize.upset_from_doc(doc["witness_upset"], G22)
+    witness = upset_from_doc(doc["witness_upset"], G22)
     assert isinstance(witness, Upset)
     assert witness == verdict.witness
 

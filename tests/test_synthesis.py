@@ -464,8 +464,7 @@ def test_synthesis_builds_the_cover_graph_once(monkeypatch):
         built.append(grid)
         return build(grid)
 
-    monkeypatch.setattr(attainability, "cover_graph", counted)
-    monkeypatch.setattr(synthesis, "cover_graph", counted)
+    monkeypatch.setattr(attainability, "cover_graph", counted)  # closure_terms' binding
     table = builtin_table(BidGrid(Fraction(1), 3, 2), "f2")
     lam = optimal_ratio(table).ratio
     built.clear()
