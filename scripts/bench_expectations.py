@@ -14,14 +14,19 @@ Three layers are timed, each as the median (and minimum) of several runs:
   121x2 (delta 1/10) and 129x2 (delta 1/16), the fine grids of the
   ``expectations`` workload, and 301x2 (delta 1/20), acceptance criterion
   8's grid; ``builtin_table`` alone on 2x16 and 4x8 (delta 1), many bidders
-  on few sorted vectors.
+  on few sorted vectors; and the expectation from ``builtin_tail`` alone
+  on 376x3, 376x4 and 376x8 (delta 1/32, top level near 10^5), grids with
+  too many sorted vectors to tabulate.
 
 Each n of the first two layers is timed in a fresh child process, one at a
 time, so no row inherits the allocator state an earlier row left behind.
 The machine's core count and the Python and NumPy versions are recorded
-with them.  Run from the root of a source checkout:
+with them.  ``--parent FILE`` copies every section of an earlier output
+(say, of the parent commit's ``src``, run with that commit's copy of this
+script) under the key ``parent``, so one file holds both sides.  Run from
+the root of a source checkout:
 
-    PYTHONPATH=src python scripts/bench_expectations.py [--out FILE]
+    PYTHONPATH=src python scripts/bench_expectations.py [--out FILE] [--parent FILE]
 """
 
 import argparse
@@ -39,6 +44,7 @@ from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid
 from compauction.ratios import (
     EqualRevenueSampler,
+    builtin_tail,
     check_gn_tight,
     expected_benchmark_discrete,
     f2_statistic,
@@ -52,6 +58,7 @@ MC_SAMPLES, MC_BLOCKS = 10**6, 50
 SUM_GRIDS = ((Fraction(1, 10), 121, 2), (Fraction(1, 16), 129, 2),
              (Fraction(1, 20), 301, 2))
 TABLE_GRIDS = SUM_GRIDS + ((Fraction(1), 2, 16), (Fraction(1), 4, 8))
+TAIL_GRIDS = tuple((Fraction(1, 32), 376, n) for n in (3, 4, 8))
 BLOCK_REPEATS = 41  # runs of each statistic, each on a fresh block
 SLOW_REPEATS = 3  # runs of each mc_expected call and grid sum
 
@@ -108,6 +115,7 @@ def grid_rows(label: str, fn, grids, variants) -> list[dict]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_expectations.json")
+    parser.add_argument("--parent", help="earlier output to keep under 'parent'")
     args = parser.parse_args()
 
     # one worker, replaced after every task: each n runs alone in a new process
@@ -135,6 +143,9 @@ def main() -> None:
     tightness = grid_rows(
         "check_gn_tight", lambda grid, _: check_gn_tight(grid.n, grid),
         SUM_GRIDS, ("f2",))
+    tails = grid_rows(
+        "builtin_tail", lambda grid, kind: builtin_tail(grid, kind).expect(),
+        TAIL_GRIDS, STATISTICS)
 
     doc = {
         "machine": {
@@ -149,7 +160,12 @@ def main() -> None:
         "builtin_table": tables,
         "expected_benchmark_discrete": sums,
         "check_gn_tight": tightness,
+        "builtin_tail": tails,
     }
+    if args.parent:
+        with open(args.parent, encoding="utf-8") as handle:
+            parent = json.load(handle)
+        doc["parent"] = {k: v for k, v in parent.items() if k != "parent"}
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")

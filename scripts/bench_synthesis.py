@@ -3,7 +3,10 @@
 
 Each row builds a built-in benchmark table, finds its optimal ratio by the
 cut, then times ``synthesize`` at that ratio and the evaluation of the
-result (``x_to_z`` then ``competitive_ratio``).  Each row also counts the
+result (``x_to_z`` then ``competitive_ratio``).  The row runs ``REPEATS``
+times, and each of the three phases records the median and the minimum of
+its times (``optimal_s``, ``optimal_min_s`` and so on); one run on a shared
+machine is not enough to tell a change from noise.  Each row also counts the
 minimum cuts synthesis solves: calls of ``max_closure`` through both its
 ``attainability`` and its ``synthesis`` binding, so the start check of
 attainability and every step cut count wherever they are made.  A
@@ -32,6 +35,7 @@ import collections
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -50,6 +54,7 @@ ROWS = [
     ("f2", 3, 4), ("maxv", 3, 4),
     ("f2", 6, 3), ("f2", 4, 4), ("f2", 16, 2), ("f2", 32, 2),
 ]
+REPEATS = 3  # runs of each row
 
 
 class StepCounter:
@@ -98,26 +103,31 @@ def counting_cuts(run):
 
 def bench_row(kind: str, levels: int, n: int) -> dict:
     table = builtin_table(BidGrid(Fraction(1), levels, n), kind)
-    start = time.perf_counter()
-    lam = optimal_ratio(table).ratio
-    optimal_s = time.perf_counter() - start
+    times = collections.defaultdict(list)
+    for _ in range(REPEATS):  # the counts and answers of the last run are kept
+        start = time.perf_counter()
+        lam = optimal_ratio(table).ratio
+        times["optimal"].append(time.perf_counter() - start)
 
-    counter = StepCounter()
-    start = time.perf_counter()
-    revenue, cuts = counting_cuts(lambda: synthesize(table, lam, observer=counter))
-    synthesize_s = time.perf_counter() - start
+        counter = StepCounter()
+        start = time.perf_counter()
+        revenue, cuts = counting_cuts(lambda: synthesize(table, lam, observer=counter))
+        times["synthesize"].append(time.perf_counter() - start)
 
-    start = time.perf_counter()
-    evaluated = competitive_ratio(x_to_z(revenue), table).ratio
-    evaluate_s = time.perf_counter() - start
+        start = time.perf_counter()
+        evaluated = competitive_ratio(x_to_z(revenue), table).ratio
+        times["evaluate"].append(time.perf_counter() - start)
+    timing = {}
+    for phase, runs in times.items():
+        timing[f"{phase}_s"] = statistics.median(runs)
+        timing[f"{phase}_min_s"] = min(runs)
     return {
         "kind": kind, "grid": f"{levels}x{n}", "delta": "1", "points": levels**n,
         "ratio": str(lam), "steps": sum(counter.events.values()),
         "steps_by_event": dict(sorted(counter.events.items())), "cuts": cuts,
         "unit_bits": None if counter.unit is None else counter.unit.bit_length(),
         "unit_growths": None if counter.unit is None else counter.growths,
-        "optimal_s": optimal_s, "synthesize_s": synthesize_s,
-        "evaluate_s": evaluate_s,
+        **timing,
         "evaluated_equals_optimal": evaluated == lam,
         "verify_ls2": verify_ls2(revenue, table, lam),
     }
@@ -134,7 +144,8 @@ def main() -> int:
         rows.append(bench_row(kind, levels, n))
         row = rows[-1]
         print(f"# {kind} {levels}x{n}: {row['steps']} steps, {row['cuts']} cuts, "
-              f"synthesize {row['synthesize_s']:.2f} s, "
+              f"synthesize {row['synthesize_s']:.2f} s "
+              f"(min {row['synthesize_min_s']:.2f}), "
               f"evaluate {row['evaluate_s']:.2f} s, "
               f"unit {row['unit_bits']} bits after {row['unit_growths']} growths, "
               f"exact {row['evaluated_equals_optimal'] and row['verify_ls2']}",
@@ -147,6 +158,7 @@ def main() -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
         },
+        "repeats": REPEATS,
         "rows": rows,
     }
     if args.parent:

@@ -16,8 +16,7 @@ import math
 from fractions import Fraction
 
 from compauction.grid import BidGrid
-from compauction.benchmarks import builtin_table
-from compauction.ratios import check_gn_tight, expected_benchmark_discrete
+from compauction.ratios import builtin_tail, check_gn_tight
 
 
 def main() -> None:
@@ -38,7 +37,7 @@ def main() -> None:
         delta = Fraction(1, s)
         levels = int(math.log(args.top) / math.log(1 + 1 / s)) + 1
         grid = BidGrid(delta, levels, 2)
-        f2_sum = expected_benchmark_discrete(builtin_table(grid, "f2"))
+        f2_sum = builtin_tail(grid, "f2").expect()
         tight = check_gn_tight(2, grid)
         cells = [
             (f2_sum, Fraction(4)),

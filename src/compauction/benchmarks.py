@@ -106,18 +106,23 @@ class BenchmarkTable:
         return all(v == 0 for v in self.values.values())
 
 
-def builtin_numerators(grid: BidGrid, which: str) -> tuple[dict[Point, int], int]:
-    """A built-in benchmark at every sorted vector, as integers over one denominator.
+def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
+    """Tabulate one of the built-in benchmarks on ``C(L+n-1, n)`` sorted vectors.
 
-    With ``1 + delta = P/Q`` (``grid.step``) and ``N`` the top level, the
-    ladder times ``Q^N`` is the increasing integer ladder ``P^t Q^(N-t)``.
-    Both formulas are positively 1-homogeneous and read the bids only
-    through their order, so on an ascending vector ``a`` the benchmark is
-    ``max_j (top - j) P^(a_j) Q^(N-a_j)`` over ``Q^N``, ``j < n-1``, with
-    ``top = n`` for f2 and ``n-1`` for maxv (``k * b_(k)`` and
-    ``k * b_(k+1)`` on the descending order).  Returns the numerators keyed
-    by ascending vector, ``combinations_with_replacement`` order, and
-    ``Q^N``.
+    The formulas are symmetric, so the table is a :class:`SortedValues` and
+    every arrangement of a vector reads the same object; no work is done per
+    grid point.  With ``1 + delta = P/Q`` (``grid.step``) and ``N`` the top
+    level, the ladder times ``Q^N`` is the increasing integer ladder
+    ``P^t Q^(N-t)``.  Both formulas are positively 1-homogeneous and read
+    the bids only through their order, so on an ascending vector ``a`` the
+    benchmark is ``max_j (top - j) P^(a_j) Q^(N-a_j)`` over ``Q^N``,
+    ``j < n-1``, with ``top = n`` for f2 and ``n-1`` for maxv (``k * b_(k)``
+    and ``k * b_(k+1)`` on the descending order).  That reads only
+    ``a[:-1]``, so the maximum is taken once per ``(n-1)``-prefix and shared
+    by every last level from ``a[-2]`` up; the nodes keep
+    ``combinations_with_replacement`` order.  Each value is some ``top - j``
+    times a level, so nodes of equal value share one ``Fraction`` too: at
+    most ``(n - 1) L`` are built.
     """
     if which not in BUILTIN_KINDS:
         raise ValueError(f"unknown builtin benchmark {which!r}")
@@ -126,29 +131,16 @@ def builtin_numerators(grid: BidGrid, which: str) -> tuple[dict[Point, int], int
     (P, Q), N = grid.step, grid.top
     ladder = [P**t * Q ** (N - t) for t in range(grid.num_levels)]
     top = grid.n if which == "f2" else grid.n - 1
-    numerators = {}
-    for key in itertools.combinations_with_replacement(range(len(ladder)), grid.n):
-        numerators[key] = max((top - j) * ladder[t] for j, t in enumerate(key[:-1]))
-    return numerators, Q**N
-
-
-def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
-    """Tabulate one of the built-in benchmarks on ``C(L+n-1, n)`` sorted vectors.
-
-    The formulas are symmetric, so the table is a :class:`SortedValues`
-    over the integer numerators of :func:`builtin_numerators`, and every
-    arrangement of a vector reads the same object; no work is done per grid
-    point.  Each value is some ``top - j`` times a level, so nodes of equal
-    value share one ``Fraction`` too: at most ``(n - 1) L`` are built.
-    """
-    numerators, den = builtin_numerators(grid, which)
+    den = Q**N
     shared: dict[int, Fraction] = {}
     nodes = {}
-    for key, num in numerators.items():
+    for prefix in itertools.combinations_with_replacement(range(len(ladder)), grid.n - 1):
+        num = max((top - j) * ladder[t] for j, t in enumerate(prefix))
         value = shared.get(num)
         if value is None:
             value = shared[num] = Fraction(num, den)
-        nodes[key] = value
+        for t in range(prefix[-1], len(ladder)):
+            nodes[prefix + (t,)] = value
     return BenchmarkTable(grid, SortedValues(grid, nodes), kind=which)
 
 

@@ -15,7 +15,12 @@ maxima ``F_{n,k} = max_i (k+i-1) V_i``, which satisfies both a recursion and
 a closed form; keeping the two independent provides an identity test.  The
 module also carries a seeded sampler, a median-of-means estimator robust to
 the heavy upper tails, and exact rational benchmark expectations over
-discrete grids for refinement tests.  The sampled statistics sort short bid
+discrete grids for refinement tests.  On a grid the built-ins have the
+discrete form of that tail law (:func:`builtin_tail`): a dynamic program
+over nested level bins gives ``Pr[f >= z]`` in integers at each of the at
+most ``(n-1) L`` values ``f`` takes, and every exact grid expectation of a
+built-in is summed from it; other tables are summed by sorted vector or
+point by point.  The sampled statistics sort short bid
 vectors with Batcher's merge-exchange network, one ``np.minimum`` and one
 ``np.maximum`` over whole columns per comparator, and longer ones with
 ``np.sort``.
@@ -27,9 +32,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from compauction.benchmarks import BenchmarkTable, SortedValues, builtin_numerators
+from compauction.benchmarks import BUILTIN_KINDS, BenchmarkTable, SortedValues
 from compauction.grid import BidGrid, Point, orbit_size, weight_numerator
 
 if TYPE_CHECKING:  # at run time only the sampler's functions import NumPy
@@ -301,18 +306,106 @@ def _weighted_sum(
     return Fraction(total, grid.step[0] ** ((N + 1) * n) * den)
 
 
+class GridTail(NamedTuple):
+    """Exact tail law ``Pr[f >= z]`` of a benchmark ``f`` on a grid.
+
+    ``values`` lists, ascending, every value ``f`` takes (and possibly
+    more), as integers over ``value_den``; ``tails[j]`` is
+    ``Pr[f >= values[j]]`` as an integer over ``tail_den``.
+    """
+
+    values: list[int]
+    tails: list[int]
+    value_den: int
+    tail_den: int
+
+    def expect(self, phi: Callable[[int], int] = lambda z: z) -> Fraction:
+        """``E[phi(f)]``, with ``phi`` taking numerators over ``value_den`` to same.
+
+        ``f`` takes only ``values``, so summing by parts gives
+        ``phi(0) + sum_j (phi(z_j) - phi(z_(j-1))) Pr[f >= z_j]``, ``z_0 = 0``.
+        """
+        last = phi(0)
+        total = last * self.tail_den
+        for z, tail in zip(self.values, self.tails):
+            step = phi(z)
+            total += (step - last) * tail
+            last = step
+        return Fraction(total, self.value_den * self.tail_den)
+
+
+def builtin_tail(grid: BidGrid, kind: str) -> GridTail:
+    """Tail law of a built-in benchmark on ``grid``, from its order statistics.
+
+    Both built-ins read the bids only through their order:
+    ``f = max_k m_k b_(k)``, ``k = 2..n``, with ``b_(k)`` the k-th largest
+    bid and ``m_k = k`` for f2, ``k-1`` for maxv.  So ``f`` takes only the
+    values ``m_k v(t)``, at most ``(n-1) L`` of them, and ``f >= z`` iff for
+    some ``k`` at least ``k`` bids reach ``tau_k``, the lowest level with
+    ``m_k v(tau_k) >= z`` (``N+1`` if none).  ``tau_k`` falls as ``k``
+    grows, so the levels split into the nested bins ``[tau_2, N]``,
+    ``[tau_3, tau_2)``, ..., ``[tau_n, tau_(n-1))`` and the rest below
+    ``tau_n``; ``f < z`` iff, for every ``k``, bins ``2..k`` hold at most
+    ``k-1`` bids.  A dynamic program over the bins counts the bids placed so
+    far, ``c <= k-1`` after bin ``k``, adding ``a`` of them to a bin of mass
+    ``p`` with factor ``C(n-c, a) p^a``; then ``Pr[f < z]`` is
+    ``sum_c dp[c] rest^(n-c)``.  Each ``tau_k`` only rises with ``z``, so
+    one pointer per ``k`` walks the ladder once.  Bin masses are integers
+    over ``P^(N+1)`` (the tail above level ``t`` is ``Q^t P^(N+1-t)``), so
+    the tail is over ``P^((N+1) n)`` and the values, on the integer ladder
+    ``P^t Q^(N-t)``, over ``Q^N``: ``O(n^3 L)`` integer products in all.
+    """
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown builtin benchmark {kind!r}")
+    n, N = grid.n, grid.top
+    if n < 2:
+        raise ValueError("built-in benchmarks need at least two bidders")
+    P, Q = grid.step
+    ladder = [P**t * Q ** (N - t) for t in range(N + 1)]
+    above = [Q**t * P ** (N + 1 - t) for t in range(N + 1)] + [0]
+    offset = 0 if kind == "f2" else 1  # m_k = k - offset
+    values = sorted({(k - offset) * v for k in range(2, n + 1) for v in ladder})
+    whole = above[0] ** n
+    tau = [0] * (n + 1)
+    tails = []
+    for z in values:
+        dp, upper = [1], N + 1
+        for k in range(2, n + 1):
+            while tau[k] <= N and (k - offset) * ladder[tau[k]] < z:
+                tau[k] += 1
+            p, upper = above[tau[k]] - above[upper], tau[k]
+            if p:
+                powers = [1]
+                for _ in range(k - 1):
+                    powers.append(powers[-1] * p)
+                placed = [0] * k
+                for c, count in enumerate(dp):
+                    for a in range(k - c):
+                        placed[c + a] += count * math.comb(n - c, a) * powers[a]
+                dp = placed
+        rest, below = above[0] - above[upper], 0
+        for count in dp:  # Horner's rule for sum_c dp[c] rest^(len(dp) - 1 - c)
+            below = below * rest + count
+        tails.append(whole - below * rest ** (n + 1 - len(dp)))
+    return GridTail(values, tails, Q**N, whole)
+
+
 def expected_benchmark_discrete(table: BenchmarkTable) -> Fraction:
     """Exact grid expectation ``sum_b w(b) f(b)`` under the discrete prior.
 
-    Accumulated as one big integer over a common denominator: only the
-    table values add denominators to the ladder's, and the weights are
-    taken once per class of vectors (:func:`_weighted_sum`).  The weight is
-    symmetric, so a :class:`SortedValues` table contributes each ascending
-    vector's value once, times its orbit ``n!/prod m_t!`` (``m_t``
-    coordinates at level ``t``): ``C(L+n-1, n)`` terms instead of ``L^n``.
-    Any other table contributes every point.  This keeps the quadratic-size
-    sums of refinement tests (hundreds of levels) in integer arithmetic.
+    A built-in ``table.kind`` is summed from its tail law
+    (:func:`builtin_tail`) over at most ``(n-1) L`` values, without reading
+    the table.  Any other table is accumulated as one big integer over a
+    common denominator: only the table values add denominators to the
+    ladder's, and the weights are taken once per class of vectors
+    (:func:`_weighted_sum`).  The weight is symmetric, so a
+    :class:`SortedValues` table contributes each ascending vector's value
+    once, times its orbit ``n!/prod m_t!`` (``m_t`` coordinates at level
+    ``t``): ``C(L+n-1, n)`` terms instead of ``L^n``.  Any other table
+    contributes every point.
     """
+    if table.kind in BUILTIN_KINDS:
+        return builtin_tail(table.grid, table.kind).expect()
     values = table.values
     if isinstance(values, SortedValues):
         terms = [(key, orbit_size(key), v) for key, v in values.nodes.items()]
@@ -347,25 +440,19 @@ class RestrictedTightness:
 def check_gn_tight(n: int, grid: BidGrid) -> RestrictedTightness:
     """Grid expectations of the pinned benchmark and its complement.
 
-    ``max(n+1, f)`` and ``max(0, n+1-f)`` are built as integer numerators
-    over f2's denominator ``Q^N`` (:func:`builtin_numerators`), one per
-    ascending vector, and each is weighted by its orbit ``n!/prod m_t!``:
-    both are symmetric, as f2 is.  Exact sums; how close they land to the
-    targets depends on the grid resolution, so tolerances belong to the
-    caller.
+    Both are functionals of f2's tail law (:func:`builtin_tail`): with
+    ``c = n+1``, ``E[max(c, f)] = c + sum_(z_j > c) (z_j - max(z_(j-1), c))
+    Pr[f >= z_j]`` and ``E[max(0, c-f)] = c - E[min(c, f)]``.  Exact sums;
+    how close they land to the targets depends on the grid resolution, so
+    tolerances belong to the caller.
     """
     if grid.n != n or n < 2:
         raise ValueError("grid must carry the same n >= 2 bidders")
-    numerators, den = builtin_numerators(grid, "f2")
-    shift = (n + 1) * den
-    g_terms, h_terms = [], []
-    for key, num in numerators.items():
-        count = orbit_size(key)
-        g_terms.append((key, count * max(shift, num)))
-        h_terms.append((key, count * max(0, shift - num)))
+    tail = builtin_tail(grid, "f2")
+    shift = (n + 1) * tail.value_den
     return RestrictedTightness(
-        g_sum=_weighted_sum(grid, g_terms, den),
+        g_sum=tail.expect(lambda z: max(z, shift)),
         g_target=lambda_n(n + 1) * n,
-        h_sum=_weighted_sum(grid, h_terms, den),
+        h_sum=n + 1 - tail.expect(lambda z: min(z, shift)),
         h_target=(lambda_n(n + 1) - lambda_n(n)) * n,
     )

@@ -20,6 +20,7 @@ from compauction.ratios import (
     NETWORK_MAX_BIDDERS,
     EqualRevenueSampler,
     bids_from_uniform,
+    builtin_tail,
     check_gn_tight,
     expected_benchmark_discrete,
     expected_maxv,
@@ -289,11 +290,21 @@ def test_expected_benchmark_discrete_against_direct_sum(rng):
             direct = _direct_sum(table)
             assert expected_benchmark_discrete(table) == direct
             assert expected_benchmark_discrete(by_node) == direct
+    # built-in kinds go by their tail law, custom copies by sorted vector or
+    # point by point; the workload's 121x2 grid skips the point-by-point oracle
     for delta, levels, n in ((Fraction(2, 7), 4, 2), (Fraction(5, 2), 3, 3),
-                             (Fraction(2, 7), 3, 4), (Fraction(5, 2), 4, 3)):
+                             (Fraction(2, 7), 3, 4), (Fraction(5, 2), 4, 3),
+                             (Fraction(1, 2), 4, 5), (Fraction(1, 2), 3, 6),
+                             (Fraction(1, 8), 30, 2), (Fraction(1, 10), 121, 2)):
         grid = BidGrid(delta, levels, n)
         for kind in ("f2", "maxv"):
             table = builtin_table(grid, kind)
+            if levels == 121:
+                custom = BenchmarkTable(grid, table.values, kind="custom")
+                assert expected_benchmark_discrete(table) == (
+                    expected_benchmark_discrete(custom)
+                )
+                continue
             direct = _direct_sum(table)
             assert expected_benchmark_discrete(table) == direct
             # the same values under the custom kind, shared and copied out
@@ -302,10 +313,18 @@ def test_expected_benchmark_discrete_against_direct_sum(rng):
                 assert expected_benchmark_discrete(custom) == direct
 
 
+def test_builtin_tail_needs_a_builtin_kind_and_two_bidders():
+    with pytest.raises(ValueError):
+        builtin_tail(BidGrid(Fraction(1), 3, 2), "custom")
+    with pytest.raises(ValueError):
+        builtin_tail(BidGrid(Fraction(1), 3, 1), "f2")
+
+
 @pytest.mark.parametrize(
     "grid",
     [BidGrid(Fraction(1, 3), 5, 3), BidGrid(Fraction(5, 2), 3, 4),
-     BidGrid(Fraction(2, 7), 6, 2)],
+     BidGrid(Fraction(2, 7), 6, 2), BidGrid(Fraction(1, 2), 4, 5),
+     BidGrid(Fraction(1, 2), 3, 6), BidGrid(Fraction(1, 8), 30, 2)],
     ids=str,
 )
 def test_check_gn_tight_against_direct_sums(grid):
