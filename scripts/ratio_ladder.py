@@ -19,10 +19,9 @@ the closed form ``lambda_n`` (f2) or ``gamma_n`` (maxv), the distance of R2
 from it, and the seconds the tail took.  Run from the root of a source
 checkout:
 
-    PYTHONPATH=src python scripts/ratio_ladder.py [--max-n 8] [--top 1e5]
+    PYTHONPATH=src python scripts/ratio_ladder.py
 """
 
-import argparse
 import math
 import time
 from fractions import Fraction
@@ -32,8 +31,10 @@ from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid
 from compauction.ratios import builtin_tail, gamma_n, lambda_n
 
-# exponents k of delta = 2^-k per bidder count; the finest step of each n
-# keeps its tail within a few seconds on one core
+MAX_N = 8
+TOP = 10**5  # approximate value of the highest grid level
+# exponents k of delta = 2^-k per bidder count; with the top near TOP, the
+# finest step of each n keeps its tail within a few seconds on one core
 STEPS = {2: range(0, 9), 3: range(0, 8), 4: range(0, 7), 5: range(0, 6),
          6: range(0, 6), 7: range(0, 6), 8: range(0, 6)}
 TARGETS = {"f2": lambda_n, "maxv": gamma_n}
@@ -51,21 +52,15 @@ def full_grid_is_optimal(grid: BidGrid, kind: str, ratio: Fraction) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=8, choices=sorted(STEPS))
-    parser.add_argument("--top", type=float, default=1e5,
-                        help="approximate value of the highest grid level")
-    args = parser.parse_args()
-
     print(f"{'kind':>4} {'n':>2} {'delta':>7} {'levels':>6} {'E/n':>9} "
           f"{'R1':>9} {'R2':>9} {'target':>9} {'R2-target':>10} {'s':>6}  optimum")
     for kind, target_of in TARGETS.items():
-        for n in range(2, args.max_n + 1):
+        for n in range(2, MAX_N + 1):
             target = target_of(n)
             ratios, firsts = [], []
             for k in STEPS[n]:
                 delta = Fraction(1, 2**k)
-                levels = round(math.log(args.top) / math.log1p(float(delta))) + 1
+                levels = round(math.log(TOP) / math.log1p(float(delta))) + 1
                 grid = BidGrid(delta, levels, n)
                 start = time.perf_counter()
                 ratios.append(builtin_tail(grid, kind).expect() / n)

@@ -106,41 +106,52 @@ class BenchmarkTable:
         return all(v == 0 for v in self.values.values())
 
 
+def builtin_ladder(grid: BidGrid, kind: str) -> tuple[list[int], list[int], int]:
+    """A built-in benchmark's integer form: ladder, multipliers and ``Q^N``.
+
+    Both formulas are positively 1-homogeneous and read the bids only
+    through their order: ``f = max_k m_k b_(k)``, ``k = 2..n``, with
+    ``b_(k)`` the k-th largest bid and ``m_k = k`` for f2 (``k * b_(k)``),
+    ``k - 1`` for maxv (``(k-1) * b_(k)``).  With ``1 + delta = P/Q``
+    (``grid.step``) and ``N`` the top level, the ladder times ``Q^N`` is the
+    increasing integer ladder ``P^t Q^(N-t)``.  Returns that ladder, the
+    multipliers ``[m_2, ..., m_n]`` and ``Q^N``.
+    """
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown builtin benchmark {kind!r}")
+    if grid.n < 2:
+        raise ValueError("built-in benchmarks need at least two bidders")
+    (P, Q), N = grid.step, grid.top
+    ladder = [P**t * Q ** (N - t) for t in range(grid.num_levels)]
+    offset = 0 if kind == "f2" else 1
+    return ladder, [k - offset for k in range(2, grid.n + 1)], Q**N
+
+
 def builtin_table(grid: BidGrid, which: str) -> BenchmarkTable:
     """Tabulate one of the built-in benchmarks on ``C(L+n-1, n)`` sorted vectors.
 
     The formulas are symmetric, so the table is a :class:`SortedValues` and
     every arrangement of a vector reads the same object; no work is done per
-    grid point.  With ``1 + delta = P/Q`` (``grid.step``) and ``N`` the top
-    level, the ladder times ``Q^N`` is the increasing integer ladder
-    ``P^t Q^(N-t)``.  Both formulas are positively 1-homogeneous and read
-    the bids only through their order, so on an ascending vector ``a`` the
-    benchmark is ``max_j (top - j) P^(a_j) Q^(N-a_j)`` over ``Q^N``,
-    ``j < n-1``, with ``top = n`` for f2 and ``n-1`` for maxv (``k * b_(k)``
-    and ``k * b_(k+1)`` on the descending order).  That reads only
-    ``a[:-1]``, so the maximum is taken once per ``(n-1)``-prefix and shared
-    by every last level from ``a[-2]`` up; the nodes keep
-    ``combinations_with_replacement`` order.  Each value is some ``top - j``
+    grid point.  On an ascending vector ``a``, ``a_j`` is ``b_(n-j)``, so the
+    benchmark is ``max_j m_(n-j) P^(a_j) Q^(N-a_j)`` over ``Q^N``,
+    ``j < n-1`` (:func:`builtin_ladder`).  That reads only ``a[:-1]``, and
+    in ``combinations_with_replacement`` order the vectors sharing a prefix
+    are consecutive, the first one ending in a repeat, so the maximum is
+    taken there once per ``(n-1)``-prefix.  Each value is some multiplier
     times a level, so nodes of equal value share one ``Fraction`` too: at
     most ``(n - 1) L`` are built.
     """
-    if which not in BUILTIN_KINDS:
-        raise ValueError(f"unknown builtin benchmark {which!r}")
-    if grid.n < 2:
-        raise ValueError("built-in benchmarks need at least two bidders")
-    (P, Q), N = grid.step, grid.top
-    ladder = [P**t * Q ** (N - t) for t in range(grid.num_levels)]
-    top = grid.n if which == "f2" else grid.n - 1
-    den = Q**N
+    ladder, multipliers, den = builtin_ladder(grid, which)
+    descending = multipliers[::-1]  # m_n .. m_2, one per ascending position
     shared: dict[int, Fraction] = {}
     nodes = {}
-    for prefix in itertools.combinations_with_replacement(range(len(ladder)), grid.n - 1):
-        num = max((top - j) * ladder[t] for j, t in enumerate(prefix))
-        value = shared.get(num)
-        if value is None:
-            value = shared[num] = Fraction(num, den)
-        for t in range(prefix[-1], len(ladder)):
-            nodes[prefix + (t,)] = value
+    for key in itertools.combinations_with_replacement(range(len(ladder)), grid.n):
+        if key[-1] == key[-2]:
+            num = max(m * ladder[t] for m, t in zip(descending, key))
+            value = shared.get(num)
+            if value is None:
+                value = shared[num] = Fraction(num, den)
+        nodes[key] = value
     return BenchmarkTable(grid, SortedValues(grid, nodes), kind=which)
 
 

@@ -9,7 +9,8 @@ fixed posted price earns expected revenue exactly 1, which is what makes it the
 worst-case prior for competitive analysis.
 
 Vector weights are integers over ``P^((N+1) width)``, ``1 + delta = P/Q``, kept
-as one ``Fraction`` per class (:func:`weight_numerator`).  All else here is an
+as one ``Fraction`` per class (:func:`weight_numerator`), and tail masses are
+integers over ``P^(N+1)`` (:func:`tail_numerator`).  All else here is an
 exact :class:`fractions.Fraction`: tightness detection in the synthesis
 procedure compares rationals for equality, so no floating point is allowed.
 """
@@ -140,6 +141,20 @@ def weight_numerator(grid: BidGrid, width: int, s: int, m: int) -> int:
     """
     P, Q = grid.step
     return (P - Q) ** (width - m) * Q**s * P ** (width * grid.top - s + m)
+
+
+def tail_numerator(grid: BidGrid, k: int) -> int:
+    """Mass of all levels >= k over ``P^(N+1)``: ``Q^k P^(N+1-k)``, 0 at ``k = N+1``.
+
+    The same number as :func:`weight_tail`, on the denominator of
+    :func:`weight_numerator` at width 1.
+    """
+    if not 0 <= k <= grid.num_levels:
+        raise ValueError(f"level index {k} outside [0, {grid.num_levels}]")
+    if k == grid.num_levels:
+        return 0
+    P, Q = grid.step
+    return Q**k * P ** (grid.num_levels - k)
 
 
 def _product_weight(grid: BidGrid, levels: Point, width: int) -> Fraction:

@@ -34,8 +34,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from compauction.benchmarks import BUILTIN_KINDS, BenchmarkTable, SortedValues
-from compauction.grid import BidGrid, Point, orbit_size, weight_numerator
+from compauction.benchmarks import (
+    BUILTIN_KINDS,
+    BenchmarkTable,
+    SortedValues,
+    builtin_ladder,
+)
+from compauction.grid import (
+    BidGrid,
+    Point,
+    orbit_size,
+    tail_numerator,
+    weight_numerator,
+)
 
 if TYPE_CHECKING:  # at run time only the sampler's functions import NumPy
     import numpy as np
@@ -339,7 +350,8 @@ def builtin_tail(grid: BidGrid, kind: str) -> GridTail:
 
     Both built-ins read the bids only through their order:
     ``f = max_k m_k b_(k)``, ``k = 2..n``, with ``b_(k)`` the k-th largest
-    bid and ``m_k = k`` for f2, ``k-1`` for maxv.  So ``f`` takes only the
+    bid and ``m_k = k`` for f2, ``k-1`` for maxv
+    (:func:`compauction.benchmarks.builtin_ladder`).  So ``f`` takes only the
     values ``m_k v(t)``, at most ``(n-1) L`` of them, and ``f >= z`` iff for
     some ``k`` at least ``k`` bids reach ``tau_k``, the lowest level with
     ``m_k v(tau_k) >= z`` (``N+1`` if none).  ``tau_k`` falls as ``k``
@@ -351,27 +363,21 @@ def builtin_tail(grid: BidGrid, kind: str) -> GridTail:
     ``p`` with factor ``C(n-c, a) p^a``; then ``Pr[f < z]`` is
     ``sum_c dp[c] rest^(n-c)``.  Each ``tau_k`` only rises with ``z``, so
     one pointer per ``k`` walks the ladder once.  Bin masses are integers
-    over ``P^(N+1)`` (the tail above level ``t`` is ``Q^t P^(N+1-t)``), so
-    the tail is over ``P^((N+1) n)`` and the values, on the integer ladder
+    over ``P^(N+1)`` (differences of :func:`compauction.grid.tail_numerator`),
+    so the tail is over ``P^((N+1) n)`` and the values, on the integer ladder
     ``P^t Q^(N-t)``, over ``Q^N``: ``O(n^3 L)`` integer products in all.
     """
-    if kind not in BUILTIN_KINDS:
-        raise ValueError(f"unknown builtin benchmark {kind!r}")
+    ladder, multipliers, value_den = builtin_ladder(grid, kind)
     n, N = grid.n, grid.top
-    if n < 2:
-        raise ValueError("built-in benchmarks need at least two bidders")
-    P, Q = grid.step
-    ladder = [P**t * Q ** (N - t) for t in range(N + 1)]
-    above = [Q**t * P ** (N + 1 - t) for t in range(N + 1)] + [0]
-    offset = 0 if kind == "f2" else 1  # m_k = k - offset
-    values = sorted({(k - offset) * v for k in range(2, n + 1) for v in ladder})
+    above = [tail_numerator(grid, t) for t in range(N + 2)]
+    values = sorted({m * v for m in multipliers for v in ladder})
     whole = above[0] ** n
     tau = [0] * (n + 1)
     tails = []
     for z in values:
         dp, upper = [1], N + 1
-        for k in range(2, n + 1):
-            while tau[k] <= N and (k - offset) * ladder[tau[k]] < z:
+        for k, m in enumerate(multipliers, start=2):
+            while tau[k] <= N and m * ladder[tau[k]] < z:
                 tau[k] += 1
             p, upper = above[tau[k]] - above[upper], tau[k]
             if p:
@@ -387,7 +393,7 @@ def builtin_tail(grid: BidGrid, kind: str) -> GridTail:
         for count in dp:  # Horner's rule for sum_c dp[c] rest^(len(dp) - 1 - c)
             below = below * rest + count
         tails.append(whole - below * rest ** (n + 1 - len(dp)))
-    return GridTail(values, tails, Q**N, whole)
+    return GridTail(values, tails, value_den, whole)
 
 
 def expected_benchmark_discrete(table: BenchmarkTable) -> Fraction:

@@ -18,6 +18,7 @@ from compauction.grid import (
     is_upward_closed,
     orbit_size,
     project,
+    tail_numerator,
     weight_level,
     weight_others,
     weight_tail,
@@ -74,6 +75,8 @@ def test_tail_identity(grid, data):
     total = sum(weight_level(grid, t) for t in range(k, grid.num_levels))
     assert total == weight_tail(grid, k)
     assert total == Fraction(1) / (1 + grid.delta) ** k
+    assert Fraction(tail_numerator(grid, k), grid.step[0] ** grid.num_levels) == total
+    assert tail_numerator(grid, grid.num_levels) == 0
 
 
 @given(grids)
