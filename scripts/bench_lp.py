@@ -4,42 +4,38 @@
 Each row builds a benchmark table, solves the ratio form of its revenue
 system with ``optimal_ratio_lp`` and records the system's rows and
 variables, the simplex pivots (``LPResult.pivots``, read by wrapping
-``lp.solve_lp``) and the seconds the call took.  A row passes when the LP's
-ratio equals the cut's ``optimal_ratio`` exactly; the script exits 1 if any
-row fails.  The rows are f2 and maxv on 4x2, 2x4, 5x2, 3x3, 6x2, 8x2 and 4x3,
-f2 on 2x5, 9x2 and 10x2, and random monotone tables on 3x2 and 2x3 (three
-seeds each), all at delta 1.  Each row also records whether
-``check_lp_size`` admits its grid; rows past the cap are timed with the cap
-lifted for that call, so one file shows where the cap falls.
+``lp.solve_lp``) and the seconds the call took.  ``benchlib`` runs each row
+in fresh interpreters, alternating the parent and the change.  A row passes
+when the LP's ratio equals the cut's ``optimal_ratio`` exactly, on both
+sides, and when its ratio, rows, variables and pivots are the same on both
+sides; the script exits 1 otherwise.  The rows are f2 and maxv on 4x2, 2x4,
+5x2, 3x3, 6x2, 8x2 and 4x3, f2 on 2x5, 9x2 and 10x2, and random monotone
+tables on 3x2 and 2x3 (three seeds each), all at delta 1.  Each row also
+records whether ``check_lp_size`` admits its grid; rows past the cap are
+timed with the cap lifted for that call, so one file shows where the cap
+falls.  Run from the root of a source checkout:
 
-The machine's core count and the Python version are recorded with them.
-``--parent FILE`` copies the rows and machine of an earlier output (say, of
-the parent commit's ``src``, run with this script) under the key ``parent``,
-so one file holds both sides.  Run from the root of a source checkout:
-
-    PYTHONPATH=src python scripts/bench_lp.py [--out FILE] [--parent FILE]
+    PYTHONPATH=src python scripts/bench_lp.py [--parent SRC]
 """
 
-import argparse
-import json
-import os
-import platform
 import random
 import sys
 import time
 from fractions import Fraction
 
+import benchlib
 from compauction import attainability, lp
 from compauction.attainability import optimal_ratio, optimal_ratio_lp
 from compauction.benchmarks import BenchmarkTable, builtin_table
 from compauction.grid import BidGrid, DomainTooLargeError
 
-BUILTIN_ROWS = [
+ROWS = [
     (kind, levels, n)
     for kind in ("f2", "maxv")
     for levels, n in ((4, 2), (2, 4), (5, 2), (3, 3), (6, 2), (8, 2), (4, 3))
-] + [("f2", 2, 5), ("f2", 9, 2), ("f2", 10, 2)]
-RANDOM_ROWS = [(levels, n, seed) for levels, n in ((3, 2), (2, 3)) for seed in (1, 2, 3)]
+] + [("f2", 2, 5), ("f2", 9, 2), ("f2", 10, 2)] + [
+    (f"random-{seed}", levels, n) for levels, n in ((3, 2), (2, 3)) for seed in (1, 2, 3)
+]
 
 
 def random_table(grid: BidGrid, seed: int) -> BenchmarkTable:
@@ -82,9 +78,13 @@ def solve_counted(table: BenchmarkTable) -> tuple[Fraction, dict]:
     return ratio, seen
 
 
-def bench_row(table: BenchmarkTable, kind: str) -> dict:
-    grid = table.grid
-    row = {"kind": kind, "grid": f"{grid.num_levels}x{grid.n}", "delta": str(grid.delta),
+def bench_row(kind: str, levels: int, n: int) -> dict:
+    grid = BidGrid(Fraction(1), levels, n)
+    if kind.startswith("random-"):
+        table = random_table(grid, int(kind.removeprefix("random-")))
+    else:
+        table = builtin_table(grid, kind)
+    row = {"kind": kind, "grid": f"{levels}x{n}", "delta": "1",
            "admitted": admitted(grid)}
     ratio, counts = solve_counted(table)
     row |= counts
@@ -92,42 +92,6 @@ def bench_row(table: BenchmarkTable, kind: str) -> dict:
     return row
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_lp.json")
-    parser.add_argument("--parent", help="earlier output to keep under 'parent'")
-    args = parser.parse_args()
-
-    tables = [(builtin_table(BidGrid(Fraction(1), levels, n), kind), kind)
-              for kind, levels, n in BUILTIN_ROWS]
-    tables += [(random_table(BidGrid(Fraction(1), levels, n), seed), f"random-{seed}")
-               for levels, n, seed in RANDOM_ROWS]
-    rows = []
-    for table, kind in tables:
-        rows.append(bench_row(table, kind))
-        row = rows[-1]
-        print(f"# {kind} {row['grid']}: {row['rows']} rows, {row['variables']} variables, "
-              f"{row['pivots']} pivots, {row['lp_s']:.3f} s, "
-              f"admitted {row['admitted']}, exact {row['lp_equals_cut']}", flush=True)
-
-    doc = {
-        "machine": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "rows": rows,
-    }
-    if args.parent:
-        with open(args.parent, encoding="utf-8") as handle:
-            parent = json.load(handle)
-        doc["parent"] = {"machine": parent["machine"], "rows": parent["rows"]}
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    print(f"# wrote {args.out}")
-    return 0 if all(r["lp_equals_cut"] for r in rows) else 1
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(benchlib.main(__file__, ROWS, lambda row: row["lp_equals_cut"],
+                           same=("ratio", "rows", "variables", "pivots")))

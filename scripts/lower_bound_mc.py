@@ -6,10 +6,8 @@ n, so E[benchmark]/n lower-bounds the competitive ratio.  This script
 estimates those expectations with a seeded median-of-means sampler and
 prints them next to the exact values lambda_n and gamma_n.
 
-Usage: python scripts/lower_bound_mc.py --max-n 6 --samples 1000000
+Usage: PYTHONPATH=src python scripts/lower_bound_mc.py
 """
-
-import argparse
 
 from compauction.ratios import (
     f2_statistic,
@@ -19,25 +17,19 @@ from compauction.ratios import (
     mc_expected,
 )
 
+MAX_N = 6
+SAMPLES, BLOCKS = 10**6, 50  # each n is seeded by n
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--samples", type=int, default=10**6)
-    parser.add_argument("--blocks", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
     print(f"{'n':>3} {'benchmark':>10} {'estimate/n':>12} {'+-':>10} "
           f"{'exact':>12} {'rel err':>9}")
-    for n in range(2, args.max_n + 1):
+    for n in range(2, MAX_N + 1):
         for name, stat, exact in (
             ("fixed-2", f2_statistic, lambda_n(n)),
             ("vickrey-k", maxv_statistic, gamma_n(n)),
         ):
-            est, err = mc_expected(
-                stat, n, args.samples, args.blocks, seed=args.seed + n
-            )
+            est, err = mc_expected(stat, n, SAMPLES, BLOCKS, seed=n)
             rel = abs(est / n - float(exact)) / float(exact)
             print(
                 f"{n:>3} {name:>10} {est / n:>12.6f} {err / n:>10.6f} "

@@ -8,34 +8,25 @@ for two bidders, next to the continuous targets 4, 13/3 and 1/3.  The floor
 bias is first-order in delta, so each halving of the step roughly halves
 every relative error.
 
-Usage: python scripts/refinement_sweep.py [--steps 10 20 40] [--top 1e6]
+Usage: PYTHONPATH=src python scripts/refinement_sweep.py
 """
 
-import argparse
 import math
 from fractions import Fraction
 
 from compauction.grid import BidGrid
 from compauction.ratios import builtin_tail, check_gn_tight
 
+STEPS = (5, 10, 20, 40)  # inverse grid steps: delta = 1/s for each s
+TOP = 1e6  # approximate value of the highest grid level
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--steps", type=int, nargs="+", default=[5, 10, 20, 40],
-        help="inverse grid steps: delta = 1/s for each s",
-    )
-    parser.add_argument(
-        "--top", type=float, default=1e6,
-        help="approximate value of the highest grid level",
-    )
-    args = parser.parse_args()
-
     print(f"{'delta':>8} {'levels':>7} {'E[f2]':>10} {'rel':>8} "
           f"{'E[G]':>10} {'rel':>8} {'E[H]':>10} {'rel':>8}")
-    for s in args.steps:
+    for s in STEPS:
         delta = Fraction(1, s)
-        levels = int(math.log(args.top) / math.log(1 + 1 / s)) + 1
+        levels = int(math.log(TOP) / math.log(1 + 1 / s)) + 1
         grid = BidGrid(delta, levels, 2)
         f2_sum = builtin_tail(grid, "f2").expect()
         tight = check_gn_tight(2, grid)

@@ -401,7 +401,7 @@ def _revenue_system(
 def lp_feasible(table: BenchmarkTable, lam: Fraction) -> bool:
     """Exact feasibility of the revenue linear system at ratio ``lam``."""
     A_ub, b_ub, nvars = _revenue_system(table, Fraction(lam))
-    return lp.feasible(A_ub, b_ub, num_vars=nvars)
+    return lp.solve_lp([0] * nvars, A_ub, b_ub).status != lp.LPStatus.INFEASIBLE
 
 
 def optimal_ratio_lp(table: BenchmarkTable) -> Fraction:

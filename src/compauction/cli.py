@@ -19,7 +19,7 @@ from typing import Callable
 
 from compauction import attainability, ratios, serialize, synthesis
 from compauction.auctions import check_profile_valid, competitive_ratio
-from compauction.benchmarks import BenchmarkTable, check_supply, limited_supply_bounds
+from compauction.benchmarks import check_supply, limited_supply_bounds
 from compauction.grid import BidGrid, DomainTooLargeError
 from compauction.serialize import FormatError
 from compauction.synthesis import (
@@ -41,6 +41,10 @@ MAX_BIDDERS = 256
 MAX_DRAWS = 10**8
 MAX_BLOCK_DRAWS = 2**22
 MAX_BLOCKS = 10**4
+# Largest ``n^2 * levels^n`` ``evaluate`` accepts: ``competitive_ratio`` reads
+# ``n`` offer rows, each keyed by ``n - 1`` levels, at every point.  1024
+# bidders on one level, the widest grid ``synthesize`` admits, are at the cap.
+MAX_EVALUATION_WORK = 2**20
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -115,16 +119,18 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
-def _load_table(path: str, check: Callable[[BidGrid, object], None]) -> BenchmarkTable:
-    """Read a benchmark document; ``check`` sees its grid and kind before tabulation."""
+def _load(path: str, check: Callable[[BidGrid, object], None],
+          read: Callable[[object], object] = serialize.table_from_doc):
+    """Read a document by ``read``, a benchmark by default; ``check`` sees its
+    grid and kind before ``read`` builds anything from its rows."""
     doc = serialize.load_file(path)
     if isinstance(doc, dict) and isinstance(doc.get("grid"), dict):
         check(serialize.grid_from_doc(doc["grid"]), doc.get("kind"))
-    return serialize.table_from_doc(doc)
+    return read(doc)
 
 
 def _cmd_check(args) -> int:
-    table = _load_table(
+    table = _load(
         args.benchmark, lambda grid, _: attainability.check_cut_size(grid)
     )
     lam = _parse_ratio(args.ratio)
@@ -139,7 +145,7 @@ def _cmd_optimal(args) -> int:
         if args.method != "cut":
             attainability.check_lp_size(grid)
 
-    table = _load_table(args.benchmark, check)
+    table = _load(args.benchmark, check)
     if args.method == "lp":
         ratio, witness = attainability.optimal_ratio_lp(table), None
     else:
@@ -163,7 +169,7 @@ def _cmd_optimal(args) -> int:
 def _cmd_synthesize(args) -> int:
     if args.trace and args.output == "-":
         raise FormatError("--trace needs --output FILE so the trace owns stdout")
-    table = _load_table(
+    table = _load(
         args.benchmark,
         lambda grid, _: synthesis.check_synthesis_size(grid, trace=args.trace),
     )
@@ -180,8 +186,17 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _check_evaluation_size(grid: BidGrid, _) -> None:
+    work = grid.n**2 * grid.num_levels**grid.n
+    if work > MAX_EVALUATION_WORK:
+        raise DomainTooLargeError(
+            f"grid of {grid.num_levels}^{grid.n} points has n^2 * levels^n = {work}, "
+            f"above the evaluation cap of {MAX_EVALUATION_WORK}"
+        )
+
+
 def _cmd_evaluate(args) -> int:
-    profile = serialize.profile_from_doc(serialize.load_file(args.auction))
+    profile = _load(args.auction, _check_evaluation_size, serialize.profile_from_doc)
     table = serialize.table_from_doc(serialize.load_file(args.benchmark))
     if profile.grid != table.grid:
         raise FormatError("auction and benchmark live on different grids")
@@ -258,7 +273,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     try:
-        table = _load_table(
+        table = _load(
             args.benchmark, lambda grid, kind: check_supply(grid, args.supply, kind)
         )
         upper, lower = limited_supply_bounds(table, args.supply)

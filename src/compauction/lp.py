@@ -205,18 +205,3 @@ def solve_lp(
         return LPResult(LPStatus.UNBOUNDED, pivots=tab.pivots)
     x, objective = tab.solution(nx)
     return LPResult(LPStatus.OPTIMAL, x=x, objective=objective, pivots=tab.pivots)
-
-
-def feasible(
-    A_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    A_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
-    num_vars: int | None = None,
-) -> bool:
-    """Exact feasibility of ``A_ub x <= b_ub, A_eq x = b_eq, x >= 0``."""
-    if num_vars is None:
-        widths = [len(r) for r in A_ub] + [len(r) for r in A_eq]
-        num_vars = max(widths, default=0)
-    zero = [Fraction(0)] * num_vars
-    return solve_lp(zero, A_ub, b_ub, A_eq, b_eq).status != LPStatus.INFEASIBLE

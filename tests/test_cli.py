@@ -167,6 +167,30 @@ def test_evaluate_rejects_mismatched_grids(capsys, tmp_path):
     assert code == 2 and "different grids" in err
 
 
+def test_evaluate_is_bounded_before_it_reads_the_offer_rows(capsys, tmp_path,
+                                                             monkeypatch):
+    auction, bench = tmp_path / "auction.json", tmp_path / "f2.json"
+
+    def write(n):
+        grid = {"delta": "1", "levels": 1, "n": n}
+        auction.write_text(json.dumps({"grid": grid, "z": []}))
+        bench.write_text(json.dumps({"grid": grid, "kind": "f2"}))
+
+    # 1024 bidders on one level, the widest grid synthesize admits, stay admitted
+    write(1024)
+    code, out, _ = run(capsys, "evaluate", str(auction), str(bench))
+    assert code == 0 and json.loads(out)["ratio"] == "unbounded"
+
+    def unread(doc):
+        raise AssertionError("the offer rows were read past the evaluation cap")
+
+    monkeypatch.setattr(serialize, "profile_from_doc", unread)
+    write(1025)
+    code, out, err = run(capsys, "evaluate", str(auction), str(bench))
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert f"above the evaluation cap of {cli.MAX_EVALUATION_WORK}" in err
+
+
 def test_ratios_command(capsys):
     code, out, _ = run(capsys, "ratios", "--max-n", "3")
     assert code == 0

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from compauction.attainability import _revenue_system
 from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid
-from compauction.lp import LPStatus, feasible, solve_lp
+from compauction.lp import LPStatus, solve_lp
 
 
 def test_simple_box():
@@ -85,9 +85,10 @@ def test_negative_rhs_needs_artificials():
 
 
 def test_feasible_wrapper():
-    assert feasible(A_ub=[[F(1)]], b_ub=[F(1)])
-    assert not feasible(A_ub=[[F(1)], [F(-1)]], b_ub=[F(1), F(-2)])
-    assert feasible(num_vars=0)
+    assert solve_lp([0], A_ub=[[F(1)]], b_ub=[F(1)]).status is LPStatus.OPTIMAL
+    infeasible = solve_lp([0], A_ub=[[F(1)], [F(-1)]], b_ub=[F(1), F(-2)])
+    assert infeasible.status is LPStatus.INFEASIBLE
+    assert solve_lp([]).status is LPStatus.OPTIMAL
 
 
 def test_exactness_no_drift():
