@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar
 
 from compauction import lp
 from compauction.benchmarks import BenchmarkTable
@@ -61,24 +61,18 @@ class RatioResult:
 
 
 def point_terms(
-    grid: BidGrid,
-    point: Point,
-    value: Fraction,
-    g: Sequence[Mapping[Point, Fraction]] | None = None,
+    grid: BidGrid, point: Point, value: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """One point's terms ``(w(b) f(b), sum_{i: b_i = top} g_i(b_-i) w(b_-i))``.
+    """One point's terms ``(w(b) f(b), sum_{i: b_i = top} w(b_-i))``.
 
     Summed over the members of an upset they give both sides of the
     inequality, because ``S|i`` holds exactly one member per ``b_-i`` with
-    ``b_i`` at the top.  ``g`` weights the right side per direction (the
-    synthesis budgets); without it every weight is 1.
+    ``b_i`` at the top.
     """
     rhs = Fraction(0)
     for i, t in enumerate(point):
         if t == grid.top:
-            others = point[:i] + point[i + 1 :]
-            w = weight_others(grid, others)
-            rhs += w if g is None else g[i][others] * w
+            rhs += weight_others(grid, point[:i] + point[i + 1 :])
     return weight_vector(grid, point) * value, rhs
 
 

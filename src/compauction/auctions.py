@@ -62,10 +62,6 @@ class RatioReport:
     ratio: Fraction | None
     argmax: Point | None
 
-    @property
-    def unbounded(self) -> bool:
-        return self.ratio is None
-
 
 def competitive_ratio(profile: AuctionProfile, table: BenchmarkTable) -> RatioReport:
     """Maximum of f(b) / expected revenue over the grid.

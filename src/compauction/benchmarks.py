@@ -96,12 +96,6 @@ class BenchmarkTable:
     def __getitem__(self, point: Point) -> Fraction:
         return self.values[tuple(point)]
 
-    def scaled(self, c: RationalLike) -> "BenchmarkTable":
-        c = Fraction(c)
-        return BenchmarkTable(
-            self.grid, {p: c * v for p, v in self.values.items()}, kind="custom"
-        )
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
 

@@ -216,7 +216,7 @@ def arrangements(point: Point) -> Iterator[Point]:
         a[j + 1 :] = a[:j:-1]
 
 
-def is_upward_closed(points: Iterable[Point], num_levels: int, n: int) -> bool:
+def is_upward_closed(points: Iterable[Point], num_levels: int) -> bool:
     """True iff the set is closed under raising any coordinate by one level."""
     pts = frozenset(points)
     return all(q in pts for p in pts for q in covers(p, num_levels - 1))
@@ -242,7 +242,7 @@ class Upset:
         for p in self.points:
             if len(p) != self.n or not all(0 <= t < self.num_levels for t in p):
                 raise ValueError(f"point {p} outside the grid")
-        if not is_upward_closed(self.points, self.num_levels, self.n):
+        if not is_upward_closed(self.points, self.num_levels):
             raise ValueError("set is not upward closed")
 
     @classmethod
@@ -278,14 +278,15 @@ def project(upset: Upset, i: int) -> frozenset[Point]:
     return frozenset(p[:i] + p[i + 1 :] for p in upset.points)
 
 
-def enumerate_upsets(grid: BidGrid, point_cap: int = DEFAULT_POINT_CAP) -> list[Upset]:
+def enumerate_upsets(grid: BidGrid) -> list[Upset]:
     """Every upward-closed subset of the grid, exactly once, in a fixed order.
 
     Points are decided from the top of the grid down; a point may enter only
     when all its upward covers are already in.  The empty set comes first and
-    the full grid last.
+    the full grid last.  Past ``DEFAULT_POINT_CAP`` points it raises
+    :class:`DomainTooLargeError`.
     """
-    check_size(grid.num_levels, grid.n, point_cap, "enumeration")
+    check_size(grid.num_levels, grid.n, DEFAULT_POINT_CAP, "enumeration")
     order = sorted(grid.points(), key=lambda p: (sum(p), p), reverse=True)
     results: list[Upset] = []
     members: set[Point] = set()

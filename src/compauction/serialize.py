@@ -28,6 +28,9 @@ MAX_GRID_POINTS = 2**16  # checked before tabulation; 129 levels x 2 bidders fit
 # n * N * bits of 1+delta = P/Q bounds a point's value; a weight's denominator
 # P^((N+1) n) is n * bits(P) longer.  delta = 1/16 on 129 levels x 2 takes 1280.
 MAX_LADDER_BITS = 2**12
+# Read before any parsing: 2x the largest f2-shaped custom table the ladder
+# cap admits (256 levels x 2 bidders at delta 1/128, 28.9 MB).
+MAX_DOCUMENT_BYTES = 2**26
 
 
 class FormatError(ValueError):
@@ -234,8 +237,19 @@ def loads(text: str) -> Any:
 
 
 def load_file(path: str) -> Any:
+    """Parse a document of at most ``MAX_DOCUMENT_BYTES`` bytes of UTF-8, read
+    in chunks: one read of the cap's size would allocate 64 MB every call."""
+    chunks, size = [], 0
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return loads(handle.read())
+        with open(path, "rb") as handle:
+            while size <= MAX_DOCUMENT_BYTES and (chunk := handle.read(2**16)):
+                chunks.append(chunk)
+                size += len(chunk)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    if size > MAX_DOCUMENT_BYTES:
+        raise FormatError(f"{path} is above the byte cap of {MAX_DOCUMENT_BYTES}")
+    try:
+        return loads(b"".join(chunks).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8: {exc}") from None

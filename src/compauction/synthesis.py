@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from compauction.attainability import (
-    CUT_POINT_CAP, Closure, closure_terms, dinkelbach, max_closure, point_terms,
+    CUT_POINT_CAP, Closure, closure_terms, dinkelbach, max_closure,
 )
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
@@ -114,8 +114,7 @@ class SynthesisState:
 @dataclass
 class Direction:
     i: int
-    members: list[Point]  # the b_-i with budget left, sorted
-    cut: dict[Point, int]  # lowest level index where f is positive
+    cut: dict[Point, int]  # each b_-i with budget left, sorted: lowest level with f > 0
     rate: dict[int, int]  # rate_shares: each moving node's term times K
 
 
@@ -191,19 +190,6 @@ def support_upset(state: SynthesisState) -> int:
     return sum(1 << k for k, p in enumerate(state.points) if state.f[p] > 0)
 
 
-def slack_shares(state: SynthesisState) -> list[Fraction]:
-    """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack, in
-    ``state.points`` order, computed from ``f`` and ``g`` as exact values.
-
-    An upset's slack is the sum of its members' terms.
-    """
-    shares = []
-    for p in state.points:
-        a, c = point_terms(state.grid, p, state.f[p], state.g)
-        shares.append(state.exact(state.lam * c - a))
-    return shares
-
-
 def eq_slack(state: SynthesisState, mask: int) -> int:
     """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset,
     times the unit: the sum of the kept terms at the mask's bits."""
@@ -245,7 +231,7 @@ def pick_direction(state: SynthesisState) -> Direction:
                 o: next(t for t in levels if state.f[_insert_at(o, i, t)] > 0)
                 for o in members
             }
-            return Direction(i, members, cut, rate_shares(state, i, cut))
+            return Direction(i, cut, rate_shares(state, i, cut))
     raise SynthesisInvariantError("no coordinate has budgeted mass left")
 
 
@@ -287,23 +273,23 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
     grid, f, g, lam = state.grid, state.f, state.g[d.i], state.lam
     moving = [state.points[k] for k in sorted(d.rate)]
     drop = lam.numerator * (state.scale // lam.denominator)
-    spend = {o: state.spend[d.cut[o]] for o in d.members}
+    spend = {o: state.spend[cl] for o, cl in d.cut.items()}
     bound = min(
         Fraction(min(f[p] for p in moving), drop),
-        *(Fraction(g[o], spend[o]) for o in d.members),
+        *(Fraction(g[o], s) for o, s in spend.items()),
     )
     rate = [-d.rate.get(k, 0) for k in range(len(state.points))]
     step, cut = dinkelbach(state.above, [-s for s in state.slack], rate, bound)
 
     num, den = step.numerator, step.denominator
     f_hits = [p for p in moving if f[p] * den == drop * num]
-    g_hits = [o for o in d.members if g[o] * den == spend[o] * num]
+    g_hits = [o for o, s in spend.items() if g[o] * den == s * num]
     handled = (StepEvent.F_ZERO if f_hits else
                StepEvent.G_ZERO if g_hits else StepEvent.NEW_TIGHT)
     index = state.index
     fibers = [
-        (index[_insert_at(o, d.i, grid.top)], index[_insert_at(o, d.i, d.cut[o])])
-        for o in d.members
+        (index[_insert_at(o, d.i, grid.top)], index[_insert_at(o, d.i, cl)])
+        for o, cl in d.cut.items()
     ]
     eps = Fraction(num * state.scale, den * state.unit)
     return StepOutcome(eps, f_hits, g_hits, handled, cut, fibers)
@@ -331,8 +317,7 @@ def apply_step(state: SynthesisState, d: Direction, eps: Fraction) -> None:
     grid, f, g, lam = state.grid, state.f, state.g[d.i], state.lam
     drop = lam.numerator * (state.scale // lam.denominator) * step
     put = state.scale * step
-    for others in d.members:
-        cl = d.cut[others]
+    for others, cl in d.cut.items():
         g[others] -= state.spend[cl] * step
         if g[others] < 0:
             raise SynthesisInvariantError("mass budget went negative")
@@ -396,15 +381,13 @@ def synthesize(
     table: BenchmarkTable,
     lam: Fraction,
     observer: "TraceRecorder | None" = None,
-    max_steps: int = DEFAULT_STEP_CAP,
-    validate_steps: bool = False,
 ) -> RevenueTables:
     """Build revenue tables solving the system at ratio ``lam``.
 
     Raises :class:`DomainTooLargeError` past ``CUT_POINT_CAP`` points and
     :class:`NotAttainableError` when the benchmark fails the attainability
-    condition.  ``validate_steps`` re-checks every invariant after every step
-    (meant for tests).
+    condition.  ``observer`` sees the state after set-up and after every
+    step.
     """
     lam = Fraction(lam)
     grid = table.grid
@@ -442,84 +425,19 @@ def synthesize(
 
     steps = 0
     while state.chain[0]:
-        if steps >= max_steps:
-            raise IterationLimitError(f"no termination within {max_steps} steps")
+        if steps >= DEFAULT_STEP_CAP:  # read here, so a test may lower it
+            raise IterationLimitError(f"no termination within {steps} steps")
         steps += 1
         direction = pick_direction(state)
         outcome = max_step(state, direction)
         apply_step(state, direction, outcome.eps)
         handle_event(state, outcome)
-        if validate_steps:
-            check_invariants(state, original=table)
         if observer is not None:
             observer.step(steps, state, direction, outcome)
     if observer is not None:
         observer.finished(steps)
     x = [{o: [state.exact(v) for v in row] for o, row in t.items()} for t in state.x]
     return RevenueTables(grid, x)
-
-
-def check_invariants(
-    state: SynthesisState, original: BenchmarkTable | None = None
-) -> None:
-    """Assert every invariant the procedure promises to preserve.
-
-    Meant for tests and debugging: the g-weighted inequality for every upset
-    (one cut: no upset has positive ``-slack``), a strictly decreasing chain
-    of tight upsets headed by the support, monotone non-negative working
-    benchmark, budgets decreasing along each chain layer, monotone
-    non-negative revenue rows, and exact accounting between the original
-    benchmark, the working one, and the revenue collected.
-    """
-    grid = state.grid
-
-    if [state.exact(s) for s in state.slack] != slack_shares(state):
-        raise SynthesisInvariantError("kept slack differs from the recomputed one")
-    worst = worst_violation(state)
-    if worst.value > 0:
-        violated = sorted(state.points[k] for k in worst.members)
-        raise SynthesisInvariantError(f"inequality violated for {violated}")
-    for j, s in enumerate(state.chain):
-        if any(not s >> q & 1 for k in _bits(s) for q in state.above[k]):
-            raise SynthesisInvariantError(f"chain set S_{j} is not upward closed")
-        if j and eq_slack(state, s) != 0:
-            raise SynthesisInvariantError(f"chain set S_{j} lost tightness")
-    for a, b in zip(state.chain, state.chain[1:]):
-        if b & ~a or b == a:
-            raise SynthesisInvariantError("chain is not strictly decreasing")
-    if state.chain and state.chain[0] != support_upset(state):
-        raise SynthesisInvariantError("chain head differs from the support")
-
-    for p, higher in zip(state.points, state.above):
-        v = state.f[p]
-        if v < 0:
-            raise SynthesisInvariantError(f"working benchmark negative at {p}")
-        if any(state.f[state.points[q]] < v for q in higher):
-            raise SynthesisInvariantError("working benchmark not monotone")
-
-    for i in range(grid.n):
-        for others, val in state.g[i].items():
-            if val < 0:
-                raise SynthesisInvariantError(f"budget negative at i={i} {others}")
-    for upper, lower in zip(state.chain, state.chain[1:]):
-        for i, budget in enumerate(state.g):
-            layer = layer_fibers(state, upper, lower, i)
-            for a, b in ((a, b) for a in layer for b in layer if a != b):
-                if all(s <= t for s, t in zip(a, b)) and budget[a] < budget[b]:
-                    raise SynthesisInvariantError(
-                        f"budget increases along layer at i={i}: {a} -> {b}"
-                    )
-
-    for rows in state.x:
-        for row in rows.values():
-            if row[0] < 0 or any(b < a for a, b in zip(row, row[1:])):
-                raise SynthesisInvariantError("revenue row not monotone")
-
-    if original is not None:
-        rev = RevenueTables(grid, state.x)
-        for p in grid.points():
-            if original[p] != state.exact(state.f[p] + state.lam * rev.revenue_at(p)):
-                raise SynthesisInvariantError(f"accounting mismatch at {p}")
 
 
 def x_to_z(revenue: RevenueTables) -> AuctionProfile:
@@ -628,10 +546,10 @@ class TraceRecorder:
         self, number: int, state: SynthesisState, d: Direction, outcome: StepOutcome
     ) -> None:
         grid = self.grid
-        members = ", ".join(_format_others(grid, o) for o in d.members)
+        members = ", ".join(_format_others(grid, o) for o in d.cut)
         cuts = ", ".join(
-            f"{_format_others(grid, o)}: {_format_value(grid.level_value(d.cut[o]))}"
-            for o in d.members
+            f"{_format_others(grid, o)}: {_format_value(grid.level_value(cl))}"
+            for o, cl in d.cut.items()
         )
         self.lines += ["", f"step {number}"]
         self.lines.append(f"direction: i={d.i + 1}  T=[{members}]  c={{{cuts}}}")

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny grids, random monotone benchmarks, brute oracles."""
+"""Shared fixtures: tiny grids, random monotone benchmarks, brute oracles,
+and the synthesis invariant checker."""
 
 from __future__ import annotations
 
@@ -9,9 +10,21 @@ from fractions import Fraction
 import pytest
 
 from compauction.benchmarks import BenchmarkTable
-from compauction.grid import BidGrid, Upset, is_upward_closed
+from compauction.grid import (
+    BidGrid, Upset, is_upward_closed, weight_others, weight_vector,
+)
 from compauction.ratios import EqualRevenueSampler
 from compauction.serialize import FormatError, _point_from_doc
+from compauction.synthesis import (
+    RevenueTables,
+    SynthesisInvariantError,
+    SynthesisState,
+    _bits,
+    eq_slack,
+    layer_fibers,
+    support_upset,
+    worst_violation,
+)
 
 
 def two_tier_table() -> BenchmarkTable:
@@ -37,6 +50,12 @@ def small_grids() -> list[BidGrid]:
         BidGrid(Fraction(1), 3, 2),
         BidGrid(Fraction(1), 2, 3),
     ]
+
+
+def scaled(table: BenchmarkTable, c) -> BenchmarkTable:
+    """The benchmark ``c * f`` on the same grid."""
+    c = Fraction(c)
+    return BenchmarkTable(table.grid, {p: c * v for p, v in table.values.items()})
 
 
 def fix_lowest_coordinate(table: BenchmarkTable) -> BenchmarkTable:
@@ -123,7 +142,7 @@ def brute_force_upsets(grid: BidGrid) -> list[frozenset]:
     found = []
     for mask in range(1 << len(points)):
         subset = frozenset(p for k, p in enumerate(points) if mask >> k & 1)
-        if is_upward_closed(subset, grid.num_levels, grid.n):
+        if is_upward_closed(subset, grid.num_levels):
             found.append(subset)
     return found
 
@@ -152,6 +171,110 @@ def random_decreasing_values(grid: BidGrid, rng: random.Random) -> dict:
         floor = max((values[q] for q in successors), default=Fraction(0))
         values[p] = floor + Fraction(rng.randrange(0, 5), rng.choice((1, 2, 4)))
     return values
+
+
+def slack_shares(state: SynthesisState) -> list[Fraction]:
+    """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack, in
+    ``state.points`` order, computed from ``f`` and ``g`` as exact values.
+
+    ``a(b) = w(b) f(b)`` and ``c(b)`` sums ``g_i(b_-i) w(b_-i)`` over the
+    coordinates ``i`` at the top level; an upset's slack is the sum of its
+    members' terms.  It is the oracle for the slack synthesis keeps.
+    """
+    grid, shares = state.grid, []
+    for p in state.points:
+        c = Fraction(0)
+        for i, t in enumerate(p):
+            if t == grid.top:
+                others = p[:i] + p[i + 1 :]
+                c += state.g[i][others] * weight_others(grid, others)
+        shares.append(state.exact(state.lam * c - weight_vector(grid, p) * state.f[p]))
+    return shares
+
+
+def check_invariants(
+    state: SynthesisState, original: BenchmarkTable | None = None
+) -> None:
+    """Assert every invariant the procedure promises to preserve.
+
+    The g-weighted inequality for every upset (one cut: no upset has
+    positive ``-slack``), a strictly decreasing chain of tight upsets headed
+    by the support, monotone non-negative working benchmark, budgets
+    decreasing along each chain layer, monotone non-negative revenue rows,
+    and exact accounting between the original benchmark, the working one,
+    and the revenue collected.
+    """
+    grid = state.grid
+
+    if [state.exact(s) for s in state.slack] != slack_shares(state):
+        raise SynthesisInvariantError("kept slack differs from the recomputed one")
+    worst = worst_violation(state)
+    if worst.value > 0:
+        violated = sorted(state.points[k] for k in worst.members)
+        raise SynthesisInvariantError(f"inequality violated for {violated}")
+    for j, s in enumerate(state.chain):
+        if any(not s >> q & 1 for k in _bits(s) for q in state.above[k]):
+            raise SynthesisInvariantError(f"chain set S_{j} is not upward closed")
+        if j and eq_slack(state, s) != 0:
+            raise SynthesisInvariantError(f"chain set S_{j} lost tightness")
+    for a, b in zip(state.chain, state.chain[1:]):
+        if b & ~a or b == a:
+            raise SynthesisInvariantError("chain is not strictly decreasing")
+    if state.chain and state.chain[0] != support_upset(state):
+        raise SynthesisInvariantError("chain head differs from the support")
+
+    for p, higher in zip(state.points, state.above):
+        v = state.f[p]
+        if v < 0:
+            raise SynthesisInvariantError(f"working benchmark negative at {p}")
+        if any(state.f[state.points[q]] < v for q in higher):
+            raise SynthesisInvariantError("working benchmark not monotone")
+
+    for i in range(grid.n):
+        for others, val in state.g[i].items():
+            if val < 0:
+                raise SynthesisInvariantError(f"budget negative at i={i} {others}")
+    for upper, lower in zip(state.chain, state.chain[1:]):
+        for i, budget in enumerate(state.g):
+            layer = layer_fibers(state, upper, lower, i)
+            for a, b in ((a, b) for a in layer for b in layer if a != b):
+                if all(s <= t for s, t in zip(a, b)) and budget[a] < budget[b]:
+                    raise SynthesisInvariantError(
+                        f"budget increases along layer at i={i}: {a} -> {b}"
+                    )
+
+    for rows in state.x:
+        for row in rows.values():
+            if row[0] < 0 or any(b < a for a, b in zip(row, row[1:])):
+                raise SynthesisInvariantError("revenue row not monotone")
+
+    if original is not None:
+        rev = RevenueTables(grid, state.x)
+        for p in grid.points():
+            if original[p] != state.exact(state.f[p] + state.lam * rev.revenue_at(p)):
+                raise SynthesisInvariantError(f"accounting mismatch at {p}")
+
+
+class Validating:
+    """Synthesis observer that runs ``check_invariants`` after set-up and
+    after every step, then forwards each call to ``inner``."""
+
+    def __init__(self, original: BenchmarkTable, inner=None):
+        self.original, self.inner = original, inner
+
+    def initial(self, state):
+        check_invariants(state, self.original)
+        if self.inner is not None:
+            self.inner.initial(state)
+
+    def step(self, number, state, direction, outcome):
+        check_invariants(state, self.original)
+        if self.inner is not None:
+            self.inner.step(number, state, direction, outcome)
+
+    def finished(self, steps):
+        if self.inner is not None:
+            self.inner.finished(steps)
 
 
 @pytest.fixture

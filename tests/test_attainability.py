@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from compauction import grid as grid_module
 from compauction.attainability import (
     CUT_POINT_CAP,
     check_attainable,
@@ -27,6 +28,7 @@ from tests.conftest import (
     is_symmetric,
     random_monotone_table,
     random_symmetric_monotone_table,
+    scaled,
     small_grids,
     two_tier_table,
 )
@@ -195,10 +197,10 @@ def test_ratio_scales_with_the_benchmark(rng):
     table = random_monotone_table(BidGrid(Fraction(1), 3, 2), rng, nonzero=True)
     base = optimal_ratio(table).ratio
     for c in (Fraction(3), Fraction(2, 7)):
-        assert optimal_ratio(table.scaled(c)).ratio == c * base
+        assert optimal_ratio(scaled(table, c)).ratio == c * base
 
 
-def test_cut_decides_past_the_enumeration_cap():
+def test_cut_decides_past_the_enumeration_cap(monkeypatch):
     grid = BidGrid(Fraction(1), 5, 2)  # 25 points, above the enumeration cap
     table = builtin_table(grid, "f2")
     verdict = check_attainable(table, Fraction(3))
@@ -208,9 +210,10 @@ def test_cut_decides_past_the_enumeration_cap():
     lhs, rhs = condition_sides(table, result.witness)
     assert lhs == result.ratio * rhs
     assert result.ratio == optimal_ratio_lp(table)
+    monkeypatch.setattr(grid_module, "DEFAULT_POINT_CAP", 25)
     enumerated = max(
         lhs / rhs
-        for lhs, rhs in (condition_sides(table, s) for s in enumerate_upsets(grid, 25))
+        for lhs, rhs in (condition_sides(table, s) for s in enumerate_upsets(grid))
         if rhs
     )
     assert result.ratio == enumerated

@@ -17,7 +17,7 @@ from compauction.auctions import (
 from compauction.benchmarks import BenchmarkTable, builtin_table
 from compauction.grid import BidGrid
 from compauction.synthesis import synthesize, x_to_z
-from tests.conftest import random_monotone_table, small_grids, two_tier_table
+from tests.conftest import random_monotone_table, scaled, small_grids, two_tier_table
 
 G22 = BidGrid(Fraction(1), 2, 2)
 H = Fraction(1, 2)
@@ -53,15 +53,15 @@ def test_revenue_matches_revenue_tables(rng):
 def test_competitive_ratio_examples():
     profile = two_tier_profile()
     assert competitive_ratio(profile, two_tier_table()).ratio == 1
-    assert competitive_ratio(profile, two_tier_table().scaled(3)).ratio == 3
+    assert competitive_ratio(profile, scaled(two_tier_table(), 3)).ratio == 3
 
     report = competitive_ratio(zero_profile(G22), builtin_table(G22, "f2"))
-    assert report.unbounded and report.ratio is None
+    assert report.ratio is None
     assert report.argmax is not None
 
     zeros = BenchmarkTable(G22, {p: Fraction(0) for p in G22.points()})
     report = competitive_ratio(zero_profile(G22), zeros)
-    assert report.ratio == 0 and not report.unbounded
+    assert report.ratio == 0
 
 
 def per_point_ratio(profile, table):

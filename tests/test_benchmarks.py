@@ -21,7 +21,7 @@ from compauction.benchmarks import (
 )
 from compauction.grid import BidGrid, DomainTooLargeError, arrangements
 from tests.conftest import (
-    fix_lowest_coordinate, random_monotone_table, small_grids, two_tier_table,
+    fix_lowest_coordinate, random_monotone_table, scaled, small_grids, two_tier_table,
 )
 
 G22 = BidGrid(Fraction(1), 2, 2)
@@ -363,6 +363,6 @@ def test_fix_lowest_coordinate_needs_three_bidders():
 
 def test_scaled_table():
     table = two_tier_table()
-    doubled = table.scaled(2)
+    doubled = scaled(table, 2)
     assert doubled[(1, 1)] == 7
     assert doubled[(0, 0)] == 3

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from compauction import cli, serialize
 from compauction.cli import main
-from tests.conftest import upset_from_doc
+from tests.conftest import scaled, upset_from_doc
 
 DATA = Path(__file__).parent / "data"
 TWO_TIER = str(DATA / "two_tier_benchmark.json")
@@ -140,7 +140,7 @@ def test_evaluate_command(capsys, tmp_path):
 
     # against the doubled benchmark the worst case sits at the bottom corner
     doubled = tmp_path / "doubled.json"
-    table = serialize.table_from_doc(serialize.load_file(TWO_TIER)).scaled(2)
+    table = scaled(serialize.table_from_doc(serialize.load_file(TWO_TIER)), 2)
     doubled.write_text(serialize.dumps(serialize.table_to_doc(table)))
     code, out, _ = run(capsys, "evaluate", str(auction), str(doubled))
     assert json.loads(out)["ratio"] == "2"
@@ -340,7 +340,7 @@ def test_evaluate_against_scaled_builtin(capsys, tmp_path):
     auction = tmp_path / "auction.json"
     run(capsys, "synthesize", TWO_TIER, "1", "--output", str(auction))
     capsys.readouterr()
-    table = serialize.table_from_doc(serialize.load_file(F2_FILE)).scaled(2)
+    table = scaled(serialize.table_from_doc(serialize.load_file(F2_FILE)), 2)
     doubled = tmp_path / "f2x2.json"
     _write_table(doubled, table)
     code, out, _ = run(capsys, "evaluate", str(auction), str(doubled))
@@ -617,6 +617,35 @@ def test_reduce_reads_builtin_kinds_once_per_point(capsys, tmp_path):
     # all ten bids at the top level; the bottom bid raised to the top
     assert upper[(1, 1)] == 20 and upper[(1, 0)] == 10
     assert lower[(1, 1)] == 4 and lower[(1, 0)] == 2
+
+
+def test_a_document_that_is_not_utf8_is_bad_input(capsys, tmp_path):
+    bench = tmp_path / "latin1.json"
+    bench.write_bytes(b"\xff" + serialize.dumps(
+        {"grid": {"delta": "1", "levels": 2, "n": 2}, "kind": "f2"}).encode())
+    for command in (("check", str(bench), "2"), ("optimal", str(bench))):
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "not UTF-8" in err
+
+
+def test_a_document_past_the_byte_cap_is_rejected_before_parsing(
+        capsys, tmp_path, monkeypatch):
+    bench = tmp_path / "padded.json"
+    text = serialize.dumps({"grid": {"delta": "1", "levels": 2, "n": 2}, "kind": "f2"})
+    monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(text) + 1)
+    bench.write_text(text + " ")  # at the cap: parsed as usual
+    code, out, _ = run(capsys, "check", str(bench), "2")
+    assert code == 0 and json.loads(out)["attainable"] is True
+
+    def unparsed(text):
+        raise AssertionError("a document past the byte cap was parsed")
+
+    monkeypatch.setattr(serialize, "loads", unparsed)
+    bench.write_text(text + "  ")  # one byte past it
+    code, out, err = run(capsys, "check", str(bench), "2")
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert f"above the byte cap of {len(text) + 1}" in err
 
 
 def test_fine_ladders_are_rejected_before_tabulation(capsys, tmp_path, monkeypatch):

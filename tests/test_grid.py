@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compauction import grid as grid_module
 from compauction.grid import (
     BidGrid,
     DomainTooLargeError,
@@ -110,10 +111,10 @@ def test_upset_requires_closure():
 
 
 def test_is_upward_closed_examples():
-    assert is_upward_closed({(1, 1)}, 2, 2)
-    assert not is_upward_closed({(0, 0)}, 2, 2)
-    assert is_upward_closed(set(G22.points()), 2, 2)
-    assert is_upward_closed(set(), 2, 2)
+    assert is_upward_closed({(1, 1)}, 2)
+    assert not is_upward_closed({(0, 0)}, 2)
+    assert is_upward_closed(set(G22.points()), 2)
+    assert is_upward_closed(set(), 2)
 
 
 def test_enumerate_upsets_counts():
@@ -132,11 +133,12 @@ def test_enumerate_upsets_matches_brute_force(grid):
     assert enumerated[-1] == frozenset(grid.points())
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     big = BidGrid(Fraction(1), 5, 2)
     with pytest.raises(DomainTooLargeError):
         enumerate_upsets(big)
-    assert len(enumerate_upsets(big, point_cap=25)) == 252
+    monkeypatch.setattr(grid_module, "DEFAULT_POINT_CAP", 25)
+    assert len(enumerate_upsets(big)) == 252
 
 
 def test_check_size_never_builds_the_power():
@@ -233,15 +235,15 @@ def test_union_intersection_closed(grid):
     upsets = enumerate_upsets(grid)
     for a in upsets:
         for b in upsets:
-            assert is_upward_closed(a.points | b.points, grid.num_levels, grid.n)
-            assert is_upward_closed(a.points & b.points, grid.num_levels, grid.n)
+            assert is_upward_closed(a.points | b.points, grid.num_levels)
+            assert is_upward_closed(a.points & b.points, grid.num_levels)
 
 
 def test_random_upsets_are_valid(rng):
     for grid in small_grids():
         for _ in range(25):
             s = random_upset(grid, rng)
-            assert is_upward_closed(s.points, grid.num_levels, grid.n)
+            assert is_upward_closed(s.points, grid.num_levels)
 
 
 @given(st.lists(st.integers(0, 3), max_size=7))

@@ -18,17 +18,19 @@ from compauction.synthesis import (
     StepEvent,
     SynthesisInvariantError,
     TraceRecorder,
-    check_invariants,
     eq_slack,
     rate_shares,
-    slack_shares,
     synthesize,
     verify_ls2,
     x_to_z,
 )
 from tests.conftest import (
+    Validating,
+    check_invariants,
     random_monotone_table,
     random_symmetric_monotone_table,
+    scaled,
+    slack_shares,
     small_grids,
     two_tier_table,
 )
@@ -111,8 +113,8 @@ def up(*points):
 def test_two_tier_walkthrough_matches_the_published_tables():
     """Every intermediate f/g/x table of the 2x2 walkthrough, exactly."""
     snap = Snapshots()
-    revenue = synthesize(two_tier_table(), Fraction(1), observer=snap,
-                         validate_steps=True)
+    revenue = synthesize(two_tier_table(), Fraction(1),
+                         observer=Validating(two_tier_table(), snap))
     assert snap.total == 5
 
     # initial state
@@ -124,7 +126,7 @@ def test_two_tier_walkthrough_matches_the_published_tables():
 
     # step 1: push along coordinate 1 from the bottom of both columns
     d, o = snap.directions[0], snap.outcomes[0]
-    assert (d.i, d.members, d.cut) == (0, [(0,), (1,)], {(0,): 0, (1,): 0})
+    assert (d.i, list(d.cut.items())) == (0, [((0,), 0), ((1,), 0)])
     assert o.eps == H
     assert o.handled is StepEvent.NEW_TIGHT
     assert snap.new_tight[0] == {
@@ -145,7 +147,7 @@ def test_two_tier_walkthrough_matches_the_published_tables():
 
     # step 2: the first coordinate is exhausted, so the second must act
     d, o = snap.directions[1], snap.outcomes[1]
-    assert (d.i, d.members, d.cut) == (1, [(0,)], {(0,): 0})
+    assert (d.i, list(d.cut.items())) == (1, [((0,), 0)])
     assert o.eps == 1
     assert o.handled is StepEvent.F_ZERO
     assert o.f_hits == [(0, 0), (0, 1)]
@@ -157,7 +159,7 @@ def test_two_tier_walkthrough_matches_the_published_tables():
 
     # step 3: last positive value in the bottom row is pushed at its boundary
     d, o = snap.directions[2], snap.outcomes[2]
-    assert (d.i, d.members, d.cut) == (0, [(0,)], {(0,): 1})
+    assert (d.i, list(d.cut.items())) == (0, [((0,), 1)])
     assert o.eps == 1
     assert o.handled is StepEvent.F_ZERO
     assert o.f_hits == [(1, 0)]
@@ -169,7 +171,7 @@ def test_two_tier_walkthrough_matches_the_published_tables():
 
     # step 4: only the budget binds
     d, o = snap.directions[3], snap.outcomes[3]
-    assert (d.i, d.members, d.cut) == (0, [(1,)], {(1,): 1})
+    assert (d.i, list(d.cut.items())) == (0, [((1,), 1)])
     assert o.eps == 1
     assert o.handled is StepEvent.G_ZERO
     assert o.f_hits == [] and o.g_hits == [(1,)]
@@ -180,7 +182,7 @@ def test_two_tier_walkthrough_matches_the_published_tables():
 
     # step 5: the top corner drains through the second coordinate
     d, o = snap.directions[4], snap.outcomes[4]
-    assert (d.i, d.members, d.cut) == (1, [(1,)], {(1,): 1})
+    assert (d.i, list(d.cut.items())) == (1, [((1,), 1)])
     assert o.eps == 2
     assert o.handled is StepEvent.F_ZERO
     assert o.f_hits == [(1, 1)] and o.g_hits == [(1,)]
@@ -303,9 +305,9 @@ def scan_step(state, d):
     grid, lam = state.grid, state.lam
     f = {p: state.exact(v) for p, v in state.f.items()}
     g = {o: state.exact(v) for o, v in state.g[d.i].items()}
-    fibers = [(o, t) for o in d.members for t in range(d.cut[o], grid.num_levels)]
+    fibers = [(o, t) for o, cl in d.cut.items() for t in range(cl, grid.num_levels)]
     bound_f = min(f[synthesis._insert_at(o, d.i, t)] / lam for o, t in fibers)
-    bound_g = min(g[o] * grid.level_value(d.cut[o]) for o in d.members)
+    bound_g = min(g[o] * grid.level_value(cl) for o, cl in d.cut.items())
     rates, shares = exact_rates(state, d), slack_shares(state)
     binding = []
     for upset in enumerate_upsets(grid):
@@ -316,8 +318,8 @@ def scan_step(state, d):
     eps = min([bound_f, bound_g] + [e for e, _ in binding])
     f_hits = sorted(synthesis._insert_at(o, d.i, t) for o, t in fibers
                     if f[synthesis._insert_at(o, d.i, t)] == lam * eps)
-    g_hits = sorted(o for o in d.members
-                    if g[o] * grid.level_value(d.cut[o]) == eps)
+    g_hits = sorted(o for o, cl in d.cut.items()
+                    if g[o] * grid.level_value(cl) == eps)
     handled = (StepEvent.F_ZERO if f_hits else
                StepEvent.G_ZERO if g_hits else StepEvent.NEW_TIGHT)
     return eps, f_hits, g_hits, handled, [u for e, u in binding if e == eps]
@@ -397,7 +399,7 @@ def test_tight_sets_that_cover_the_support_together_are_skipped():
     table = BenchmarkTable(grid, {p: by_tops[sum(p)] for p in grid.points()})
     lam = optimal_ratio(table).ratio
     assert lam == Fraction(87, 128)
-    revenue = synthesize(table, lam, validate_steps=True)
+    revenue = synthesize(table, lam, observer=Validating(table))
     assert verify_ls2(revenue, table, lam)
     assert competitive_ratio(x_to_z(revenue), table).ratio == lam
 
@@ -475,9 +477,10 @@ def test_synthesis_builds_the_cover_graph_once(monkeypatch):
     assert len(built) == 2
 
 
-def test_iteration_cap_trips():
+def test_iteration_cap_trips(monkeypatch):
+    monkeypatch.setattr(synthesis, "DEFAULT_STEP_CAP", 1)
     with pytest.raises(IterationLimitError):
-        synthesize(two_tier_table(), Fraction(1), max_steps=1)
+        synthesize(two_tier_table(), Fraction(1))
 
 
 @pytest.mark.parametrize("grid", small_grids(), ids=str)
@@ -485,7 +488,7 @@ def test_random_benchmarks_synthesize_exactly(grid, rng):
     for _ in range(6):
         table = random_monotone_table(grid, rng, nonzero=True)
         lam = optimal_ratio(table).ratio
-        revenue = synthesize(table, lam, validate_steps=True)
+        revenue = synthesize(table, lam, observer=Validating(table))
         assert verify_ls2(revenue, table, lam)
         # the construction drains f completely: revenue covers f with equality
         for p in grid.points():
@@ -500,7 +503,7 @@ def test_synthesis_above_the_optimal_ratio(rng):
     grid = BidGrid(Fraction(1), 3, 2)
     table = random_monotone_table(grid, rng, nonzero=True)
     lam = optimal_ratio(table).ratio + 1
-    revenue = synthesize(table, lam, validate_steps=True)
+    revenue = synthesize(table, lam, observer=Validating(table))
     assert verify_ls2(revenue, table, lam)
 
 
@@ -511,7 +514,7 @@ def test_synthesis_past_the_enumeration_bound(shape, kind):
     with every invariant checked after every step."""
     table = builtin_table(BidGrid(Fraction(1), *shape), kind)
     lam = optimal_ratio(table).ratio
-    revenue = synthesize(table, lam, validate_steps=True)
+    revenue = synthesize(table, lam, observer=Validating(table))
     assert verify_ls2(revenue, table, lam)
     assert competitive_ratio(x_to_z(revenue), table).ratio == lam
 
@@ -520,7 +523,7 @@ def test_synthesis_past_the_enumeration_bound(shape, kind):
 @pytest.mark.parametrize(
     "shape", [(g.num_levels, g.n) for g in small_grids()] + [(4, 2), (3, 3)], ids=str)
 def test_kept_slack_matches_the_recomputed_slack(shape, delta, rng):
-    """``validate_steps`` compares the slack that each step moves on its
+    """``Validating`` compares the slack that each step moves on its
     direction's fibers with ``slack_shares`` over the whole grid."""
     grid = BidGrid(delta, *shape)
     tables = [builtin_table(grid, "f2"), builtin_table(grid, "maxv")]
@@ -529,7 +532,7 @@ def test_kept_slack_matches_the_recomputed_slack(shape, delta, rng):
     for table in tables:
         lam = optimal_ratio(table).ratio
         for target in (lam, lam * Fraction(5, 4)):
-            revenue = synthesize(table, target, validate_steps=True)
+            revenue = synthesize(table, target, observer=Validating(table))
             assert verify_ls2(revenue, table, target)
 
 
@@ -665,7 +668,7 @@ def test_offer_mass_equals_weighted_revenue_mass(rng):
 def test_verify_ls2_detects_scaling():
     revenue = synthesize(two_tier_table(), Fraction(1))
     assert verify_ls2(revenue, two_tier_table(), Fraction(1))
-    assert not verify_ls2(revenue, two_tier_table().scaled(2), Fraction(1))
+    assert not verify_ls2(revenue, scaled(two_tier_table(), 2), Fraction(1))
     zero = RevenueTables(
         G22,
         [
