@@ -7,8 +7,11 @@ random monotone tables (``random_table`` of ``scripts/bench_lp.py``; an
 all-zero one is skipped) on the grids 2x2, 3x2, 2x3, 4x2, 2x4, 3x1, 5x1 and
 16x1 at delta 1, 1/3 and 5/2, each synthesized at its optimal ratio and at
 5/4 of it.  The script prints the run count, the step count and the hex
-digest; two trees that trace alike print the same three.  Run from the root
-of a source checkout:
+digest; two trees that trace alike print the same three.  A fourth line
+digests the answers on the same tables: each one's optimal ratio and sorted
+witness, and the verdict and sorted witness of ``check_attainable`` at 63/64
+of that ratio; two trees that answer alike print the same one.  Run from the
+root of a source checkout:
 
     PYTHONPATH=src python scripts/trace_digest.py
 """
@@ -17,7 +20,7 @@ import hashlib
 from fractions import Fraction
 
 from bench_lp import random_table
-from compauction.attainability import optimal_ratio
+from compauction.attainability import check_attainable, optimal_ratio
 from compauction.benchmarks import BenchmarkTable, builtin_table
 from compauction.grid import BidGrid
 from compauction.synthesis import TraceRecorder, synthesize
@@ -34,12 +37,17 @@ def tables(grid: BidGrid) -> list[BenchmarkTable]:
 
 
 def main() -> None:
-    digest, runs, steps = hashlib.sha256(), 0, 0
+    digest, answers, runs, steps = hashlib.sha256(), hashlib.sha256(), 0, 0
     for levels, n in SHAPES:
         for delta in DELTAS:
             grid = BidGrid(delta, levels, n)
             for table in tables(grid):
-                lam = optimal_ratio(table).ratio
+                result = optimal_ratio(table)
+                lam = result.ratio
+                verdict = check_attainable(table, lam * Fraction(63, 64))
+                witness = verdict.witness and sorted(verdict.witness.points)
+                answers.update(repr((lam, sorted(result.witness.points),
+                                     verdict.attainable, witness)).encode("utf-8"))
                 for target in (lam, lam * Fraction(5, 4)):
                     recorder = TraceRecorder(grid, target)
                     synthesize(table, target, observer=recorder)
@@ -50,6 +58,7 @@ def main() -> None:
     print(f"runs: {runs}")
     print(f"steps: {steps}")
     print(f"sha256: {digest.hexdigest()}")
+    print(f"answers sha256: {answers.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -28,17 +28,23 @@ from compauction import lp
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
     BidGrid,
+    DomainTooLargeError,
     Point,
     Upset,
     check_size,
     covers,
+    tail_numerator,
     weight_numerator,
     weight_others,
-    weight_tail,
     weight_vector,
 )
 
 CUT_POINT_CAP = 1024
+# Bits of ``F``, the lcm of a cut's value denominators (``closure_terms``),
+# the bound ``serialize.MAX_LADDER_BITS`` puts on a value.  A built-in table's
+# ``F`` divides ``Q^N``, at most 2048 bits under that bound, and so does that
+# of every table ``reduce`` derives from one.
+MAX_SCALE_BITS = 2**12
 DEFAULT_LP_VARIABLE_CAP = 192
 
 
@@ -56,7 +62,7 @@ class RatioResult:
     """Optimal ratio together with the largest upset attaining it."""
 
     ratio: Fraction
-    witness: Upset | None
+    witness: Upset
     method: ClassVar[str] = "cut"  # the only route; perfbench's trace reads it
 
 
@@ -117,12 +123,18 @@ def closure_terms(
     ``den = P^((N+1) n) F``, with ``F`` the lcm of the table's denominators.
     Each of the ``m`` top coordinates of a point leaves the others in one
     weight class, so ``c`` is ``m`` times one :func:`weight_numerator`.
+    ``F`` past ``MAX_SCALE_BITS`` raises :class:`DomainTooLargeError` before
+    any term is built.
     """
     grid = table.grid
     check_cut_size(grid)
     points, above = cover_graph(grid)
     values = [table.values[p] for p in points]
-    scale = math.lcm(*(v.denominator for v in values))
+    scale = 1
+    for d in {v.denominator for v in values}:
+        scale = math.lcm(scale, d)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            raise DomainTooLargeError(f"denominators' lcm above {MAX_SCALE_BITS} bits")
     lift = scale * grid.step[0] ** grid.num_levels  # P^(N+1) F
     a, c = [], []
     for p, v in zip(points, values):
@@ -355,16 +367,18 @@ def _revenue_system(
     monotone, so the system is equivalent to the one in ``x`` without any
     monotonicity rows.  The mass along a direction,
     ``sum_t w(t) x_i(b_-i, t)``, becomes ``sum_s W(s) d_i(b_-i, s)`` with the
-    tail weight ``W(s) = sum_{t >= s} w(t)``.  With ``lam = None`` the ratio
-    becomes variable 0 and the others are ``lam * d_i``: they cover ``f``
-    outright while their weighted mass stays below ``lam``.
+    tail weight ``W(s) = sum_{t >= s} w(t)``, :func:`tail_numerator` over
+    ``P^(N+1)``.  With ``lam = None`` the ratio becomes variable 0 and the
+    others are ``lam * d_i``: they cover ``f`` outright while their weighted
+    mass stays below ``lam``.
     """
     grid = table.grid
     check_lp_size(grid)
     index = _variable_index(grid)
     offset = 1 if lam is None else 0
     cover = Fraction(-1) if lam is None else -lam
-    tails = [weight_tail(grid, s) for s in range(grid.num_levels)]
+    den = tail_numerator(grid, 0)
+    tails = [Fraction(tail_numerator(grid, s), den) for s in range(grid.num_levels)]
     nvars = len(index) + offset
     A_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []

@@ -3,8 +3,8 @@
 Exit codes: 0 success (or attainable), 1 negative verdict (violated /
 not attainable), 2 usage or input error, 3 internal error.  Rationals
 print as exact ``p/q`` strings.  ``check`` and ``optimal`` decide by one
-minimum cut per ratio; ``optimal --method lp|both`` asks the exact LP oracle
-instead or as well.
+minimum cut per ratio; ``optimal --method both`` asks the exact LP oracle as
+well.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from compauction import attainability, ratios, serialize, synthesis
-from compauction.auctions import check_profile_valid, competitive_ratio
+from compauction.auctions import competitive_ratio
 from compauction.benchmarks import check_supply, limited_supply_bounds
 from compauction.grid import BidGrid, DomainTooLargeError
 from compauction.serialize import FormatError
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimal", help="compute the optimal competitive ratio")
     p.add_argument("benchmark")
-    p.add_argument("--method", choices=("cut", "lp", "both"), default="cut")
+    p.add_argument("--method", choices=("cut", "both"), default="cut")
 
     p = sub.add_parser("synthesize", help="construct an optimal truthful auction")
     p.add_argument("benchmark")
@@ -142,24 +142,19 @@ def _cmd_check(args) -> int:
 def _cmd_optimal(args) -> int:
     def check(grid: BidGrid, _) -> None:
         attainability.check_cut_size(grid)
-        if args.method != "cut":
+        if args.method == "both":
             attainability.check_lp_size(grid)
 
     table = _load(args.benchmark, check)
-    if args.method == "lp":
-        ratio, witness = attainability.optimal_ratio_lp(table), None
-    else:
-        result = attainability.optimal_ratio(table)
-        ratio, witness = result.ratio, result.witness
-        other = ratio if args.method == "cut" else attainability.optimal_ratio_lp(table)
-        if other != ratio:
-            raise SynthesisInvariantError(f"the cut gives {ratio}, the LP {other}")
+    result = attainability.optimal_ratio(table)
+    if args.method == "both":
+        other = attainability.optimal_ratio_lp(table)
+        if other != result.ratio:
+            raise SynthesisInvariantError(f"the cut gives {result.ratio}, the LP {other}")
     doc = {
-        "lambda": serialize.fraction_to_str(ratio),
-        "lambda_decimal": float(ratio),
-        "witness_upset": None
-        if witness is None
-        else [list(p) for p in sorted(witness.points)],
+        "lambda": serialize.fraction_to_str(result.ratio),
+        "lambda_decimal": serialize.fraction_to_float(result.ratio),
+        "witness_upset": [list(p) for p in sorted(result.witness.points)],
         "method": args.method,
     }
     sys.stdout.write(serialize.dumps(doc))
@@ -179,10 +174,10 @@ def _cmd_synthesize(args) -> int:
         lam = _parse_ratio(args.ratio)
     recorder = TraceRecorder(table.grid, lam) if args.trace else None
     revenue = synthesis.synthesize(table, lam, observer=recorder)
-    profile = synthesis.x_to_z(revenue)
+    text = serialize.dumps(serialize.profile_to_doc(synthesis.x_to_z(revenue)))
     if recorder is not None:
         sys.stdout.write(recorder.text())
-    _write(args.output, serialize.dumps(serialize.profile_to_doc(profile)))
+    _write(args.output, text)
     return EXIT_OK
 
 
@@ -197,12 +192,12 @@ def _check_evaluation_size(grid: BidGrid, _) -> None:
 
 def _cmd_evaluate(args) -> int:
     profile = _load(args.auction, _check_evaluation_size, serialize.profile_from_doc)
-    table = serialize.table_from_doc(serialize.load_file(args.benchmark))
-    if profile.grid != table.grid:
-        raise FormatError("auction and benchmark live on different grids")
-    ok, witness = check_profile_valid(profile)
-    if not ok:
-        raise FormatError(f"auction profile is invalid at {witness}")
+
+    def same_grid(grid: BidGrid, _) -> None:
+        if grid != profile.grid:
+            raise FormatError("auction and benchmark live on different grids")
+
+    table = _load(args.benchmark, same_grid)
     report = competitive_ratio(profile, table)
     sys.stdout.write(serialize.dumps(serialize.ratio_to_doc(report)))
     return EXIT_OK
@@ -223,9 +218,9 @@ def _cmd_ratios(args) -> int:
             [
                 n,
                 serialize.fraction_to_str(lam),
-                f"{float(lam):.12g}",
+                f"{serialize.fraction_to_float(lam):.12g}",
                 serialize.fraction_to_str(gam),
-                f"{float(gam):.12g}",
+                f"{serialize.fraction_to_float(gam):.12g}",
             ]
         )
     sys.stdout.write(out.getvalue())
@@ -265,7 +260,7 @@ def _cmd_simulate(args) -> int:
         "estimate": estimate,
         "error": error,
         "reference": serialize.fraction_to_str(reference),
-        "reference_decimal": float(reference),
+        "reference_decimal": serialize.fraction_to_float(reference),
     }
     sys.stdout.write(serialize.dumps(doc))
     return EXIT_OK

@@ -116,13 +116,6 @@ def weight_level(grid: BidGrid, t: int) -> Fraction:
     return grid.level_weights[t]
 
 
-def weight_tail(grid: BidGrid, k: int) -> Fraction:
-    """Mass of all levels >= k; telescopes to ``(1+delta)^(-k)`` exactly."""
-    if not 0 <= k <= grid.top:
-        raise ValueError(f"level index {k} outside [0, {grid.top}]")
-    return Fraction(1) / (1 + grid.delta) ** k
-
-
 def weight_vector(grid: BidGrid, point: Point) -> Fraction:
     """Product weight of a full bid vector; sums to 1 over the whole grid."""
     return _product_weight(grid, point, grid.n)
@@ -146,7 +139,7 @@ def weight_numerator(grid: BidGrid, width: int, s: int, m: int) -> int:
 def tail_numerator(grid: BidGrid, k: int) -> int:
     """Mass of all levels >= k over ``P^(N+1)``: ``Q^k P^(N+1-k)``, 0 at ``k = N+1``.
 
-    The same number as :func:`weight_tail`, on the denominator of
+    The masses telescope, so this is ``(1+delta)^(-k)`` on the denominator of
     :func:`weight_numerator` at width 1.
     """
     if not 0 <= k <= grid.num_levels:

@@ -19,11 +19,10 @@ discrete grids for refinement tests.  On a grid the built-ins have the
 discrete form of that tail law (:func:`builtin_tail`): a dynamic program
 over nested level bins gives ``Pr[f >= z]`` in integers at each of the at
 most ``(n-1) L`` values ``f`` takes, and every exact grid expectation of a
-built-in is summed from it; other tables are summed by sorted vector or
-point by point.  The sampled statistics sort short bid
-vectors with Batcher's merge-exchange network, one ``np.minimum`` and one
-``np.maximum`` over whole columns per comparator, and longer ones with
-``np.sort``.
+built-in is summed from it; other tables are summed point by point.  The
+sampled statistics sort short bid vectors with Batcher's merge-exchange
+network, one ``np.minimum`` and one ``np.maximum`` over whole columns per
+comparator, and longer ones with ``np.sort``.
 """
 
 from __future__ import annotations
@@ -34,19 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from compauction.benchmarks import (
-    BUILTIN_KINDS,
-    BenchmarkTable,
-    SortedValues,
-    builtin_ladder,
-)
-from compauction.grid import (
-    BidGrid,
-    Point,
-    orbit_size,
-    tail_numerator,
-    weight_numerator,
-)
+from compauction.benchmarks import BUILTIN_KINDS, BenchmarkTable, builtin_ladder
+from compauction.grid import BidGrid, Point, tail_numerator, weight_numerator
 
 if TYPE_CHECKING:  # at run time only the sampler's functions import NumPy
     import numpy as np
@@ -211,10 +199,9 @@ def merge_exchange_network(n: int) -> tuple[tuple[int, int], ...]:
 
 # Widest rows ``_max_scaled_bid`` sorts by the network.  Each comparator is
 # two passes over whole columns where ``np.sort(axis=1)`` pays per row.  On
-# 20,000-row blocks (2 cores, BENCH_expectations.json) the network took
-# 0.05-0.39 ms against the sort's 1.2-2.0 ms at n = 2..5, and 5.6-6.0 ms
-# against 6.6-6.9 ms at n = 24.  With the network forced on wider rows the
-# two tied within noise from 25 to 30, and the sort won from 32 on.
+# 20,000-row blocks (2 cores, medians of 60 alternating calls) the network
+# took 4.4 ms against the sort's 4.8 ms at n = 24, the two tied at 25, and
+# the sort won from 26 on (4.4 ms against 5.1 ms).
 NETWORK_MAX_BIDDERS = 24
 
 
@@ -226,9 +213,7 @@ def _max_scaled_bid(bids: np.ndarray, top: int) -> np.ndarray:
     sorted by ``merge_exchange_network``, each comparator one ``np.minimum``
     and one ``np.maximum`` over whole columns; these only move values within
     a row, so the sorted columns equal ``np.sort``'s.  Wider rows are sorted
-    row by row; ``np.max(axis=1)`` is slow on short rows and wide columns are
-    strided, so all but the last 8 columns (a 64-byte line) are reduced row
-    by row, those by column.
+    row by row.
     """
     import numpy as np
 
@@ -246,15 +231,9 @@ def _max_scaled_bid(bids: np.ndarray, top: int) -> np.ndarray:
         for j in range(1, n - 1):
             np.maximum(best, np.multiply(cols[j], top - j, out=cols[j]), out=best)
         return best
-    ordered = np.sort(bids, axis=1)
-    width = ordered.shape[1] - 1
-    scaled = ordered[:, :width]
-    scaled *= np.arange(top, top - width, -1)
-    split = max(0, width - 8)
-    best = np.max(scaled[:, :split], axis=1, initial=-np.inf)
-    for j in range(split, width):
-        np.maximum(best, scaled[:, j], out=best)
-    return best
+    scaled = np.sort(bids, axis=1)[:, :-1]
+    scaled *= np.arange(top, top - n + 1, -1)
+    return np.max(scaled, axis=1)
 
 
 def f2_statistic(bids: np.ndarray) -> np.ndarray:
@@ -404,25 +383,17 @@ def expected_benchmark_discrete(table: BenchmarkTable) -> Fraction:
     the table.  Any other table is accumulated as one big integer over a
     common denominator: only the table values add denominators to the
     ladder's, and the weights are taken once per class of vectors
-    (:func:`_weighted_sum`).  The weight is symmetric, so a
-    :class:`SortedValues` table contributes each ascending vector's value
-    once, times its orbit ``n!/prod m_t!`` (``m_t`` coordinates at level
-    ``t``): ``C(L+n-1, n)`` terms instead of ``L^n``.  Any other table
-    contributes every point.
+    (:func:`_weighted_sum`).
     """
     if table.kind in BUILTIN_KINDS:
         return builtin_tail(table.grid, table.kind).expect()
-    values = table.values
-    if isinstance(values, SortedValues):
-        terms = [(key, orbit_size(key), v) for key, v in values.nodes.items()]
-    else:
-        terms = [(p, 1, v) for p, v in values.items()]
-    dens = {v.denominator for _, _, v in terms}
+    terms = table.values.items()
+    dens = {v.denominator for _, v in terms}
     den = math.lcm(*dens)
     scale = {d: den // d for d in dens}
     return _weighted_sum(
         table.grid,
-        ((p, count * v.numerator * scale[v.denominator]) for p, count, v in terms),
+        ((p, v.numerator * scale[v.denominator]) for p, v in terms),
         den,
     )
 

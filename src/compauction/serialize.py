@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from compauction.attainability import Verdict
-from compauction.auctions import AuctionProfile, RatioReport
+from compauction.auctions import AuctionProfile, RatioReport, check_profile_valid
 from compauction.benchmarks import (
     BUILTIN_KINDS,
     BenchmarkTable,
@@ -37,17 +37,39 @@ class FormatError(ValueError):
     """A document failed to parse or failed validation."""
 
 
+def _check_digits(value: Fraction) -> None:
+    """Reject a rational Python refuses to print.
+
+    Python prints no integer longer than ``sys.get_int_max_str_digits()``
+    digits, so a numerator or denominator past that bound is rejected, from
+    its bit length.  Parsed and printed rationals pass through here alike.
+    """
+    limit = sys.get_int_max_str_digits()
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if limit and math.floor(bits * math.log10(2)) + 1 > limit:
+        raise FormatError(f"rational has more than {limit} digits")
+
+
 def fraction_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    """``value`` as ``p/q`` (``p`` if whole), the form of every printed rational."""
+    value = Fraction(value)
+    _check_digits(value)
+    return str(value)
+
+
+def fraction_to_float(value: Fraction) -> float:
+    """``value`` as a float, the form of every printed decimal, if it has one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError("rational is beyond the range of a float") from None
 
 
 def parse_fraction(text: Any) -> Fraction:
     """Parse a rational, rejecting one that could not be printed back.
 
-    Python refuses to print integers longer than
-    ``sys.get_int_max_str_digits()`` digits, so a numerator or denominator
-    past that bound is rejected here, from its bit length.  A decimal exponent
-    past it is rejected before the power of ten is ever built.
+    A decimal exponent past ``sys.get_int_max_str_digits()`` is rejected
+    before the power of ten is ever built.
     """
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise FormatError(f"expected a rational string, got {text!r}")
@@ -64,9 +86,7 @@ def parse_fraction(text: Any) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {str(text)[:40]!r}: {exc}") from None
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if limit and math.floor(bits * math.log10(2)) + 1 > limit:
-        raise FormatError(f"rational has more than {limit} digits")
+    _check_digits(value)
     return value
 
 
@@ -187,11 +207,7 @@ def profile_from_doc(doc: Any) -> AuctionProfile:
         offers: dict[int, Fraction] = {}
         for price in _expect(row, "prices", list):
             level = _expect(price, "level", int)
-            if not 0 <= level <= grid.top:
-                raise FormatError(f"price level {level} outside [0, {grid.top}]")
             prob = parse_fraction(_expect(price, "prob", str))
-            if prob < 0 or prob > 1:
-                raise FormatError(f"offer probability {prob} outside [0, 1]")
             if level in offers:
                 raise FormatError(f"duplicate price level {level}")
             offers[level] = prob
@@ -201,7 +217,11 @@ def profile_from_doc(doc: Any) -> AuctionProfile:
             )
         seen.add((bidder, others))
         z[bidder - 1][others] = offers
-    return AuctionProfile(grid, z)
+    profile = AuctionProfile(grid, z)
+    ok, witness = check_profile_valid(profile)
+    if not ok:
+        raise FormatError(f"auction profile is invalid at {witness}")
+    return profile
 
 
 def verdict_to_doc(verdict: Verdict) -> dict:

@@ -59,6 +59,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
+from compauction import serialize
 from compauction.attainability import (
     CUT_POINT_CAP, Closure, closure_terms, dinkelbach, max_closure,
 )
@@ -486,15 +487,16 @@ def verify_ls2(revenue: RevenueTables, table: BenchmarkTable, lam: Fraction) -> 
 
 def _format_value(value: Fraction) -> str:
     """Integers bare, short terminating decimals as decimals, else p/q."""
+    exact = serialize.fraction_to_str(value)
     if value.denominator == 1:
-        return str(value.numerator)
+        return exact
     for places in range(1, 7):
         if 10**places % value.denominator == 0:
             digits = abs(value.numerator) * 10**places // value.denominator
             whole, frac = divmod(digits, 10**places)
             sign = "-" if value.numerator < 0 else ""
             return f"{sign}{whole}.{str(frac).zfill(places)}"
-    return f"{value.numerator}/{value.denominator}"
+    return exact
 
 
 def _format_point(grid: BidGrid, point: Point) -> str:

@@ -76,9 +76,9 @@ def test_optimal_command(capsys):
     doc = json.loads(out)
     assert doc["lambda"] == "5/4" and doc["method"] == "both"
 
-    code, out, _ = run(capsys, "optimal", F2_FILE, "--method", "lp")
-    doc = json.loads(out)
-    assert doc["lambda"] == "5/4" and doc["witness_upset"] is None
+    code, out, err = run(capsys, "optimal", F2_FILE, "--method", "lp")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "invalid choice: 'lp'" in err
 
 
 def test_synthesize_golden_trace(capsys, tmp_path):
@@ -467,7 +467,7 @@ def test_optimal_checks_the_lp_size_before_any_cut(capsys, tmp_path, monkeypatch
     bench = tmp_path / "f2.json"
     bench.write_text(serialize.dumps(
         {"grid": {"delta": "1", "levels": 32, "n": 2}, "kind": "f2"}))
-    for method in ("both", "lp"):
+    for method in ("both",):
         code, out, err = run(capsys, "optimal", str(bench), "--method", method)
         assert code == 2 and out == "" and _one_error_line(err)
         assert "above the LP cap of 96" in err
@@ -660,3 +660,70 @@ def test_fine_ladders_are_rejected_before_tabulation(capsys, tmp_path, monkeypat
         code, out, err = run(capsys, "check", str(bench), "2")
         assert code == 2 and out == "" and _one_error_line(err)
         assert "ladder cap" in err
+
+
+def _custom(path, delta, levels, n, values):
+    rows = [{"levels": list(p), "value": v} for p, v in values.items()]
+    path.write_text(serialize.dumps({"grid": {"delta": delta, "levels": levels, "n": n},
+                                     "kind": "custom", "values": rows}))
+
+
+def test_an_answer_too_long_to_print_is_bad_input(capsys, tmp_path):
+    # each value prints, but the optimal ratio is past the float range, or
+    # past the digits Python prints (sum w(t) f(t) over 129^8 on one bidder)
+    bench = tmp_path / "bench.json"
+    _custom(bench, "1", 2, 1, {(0,): "1e400", (1,): "1e400"})
+    code, out, err = run(capsys, "optimal", str(bench))
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert "float" in err
+
+    _custom(bench, "1/128", 8, 1,
+            {(t,): str((t + 1) * 10**4290 + 1) for t in range(8)})
+    code, out, err = run(capsys, "optimal", str(bench))
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert "digits" in err
+    trace = tmp_path / "trace.json"
+    code, out, err = run(capsys, "synthesize", str(bench), "--trace", "-o", str(trace))
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert "digits" in err
+
+
+def test_a_denominator_lcm_past_the_cap_is_rejected(capsys, tmp_path, monkeypatch):
+    from compauction import attainability
+
+    def no_cut(*args):
+        raise AssertionError("a cut ran past the denominator cap")
+
+    monkeypatch.setattr(attainability, "max_closure", no_cut)
+    # 3^1400 and 2^2100 each fit the cap; their lcm takes 4319 bits
+    a, b = f"1/{3**1400}", f"{2**2101 + 1}/{2**2100}"
+    bench = tmp_path / "bench.json"
+    _custom(bench, "1", 2, 2, {(0, 0): "0", (0, 1): a, (1, 0): a, (1, 1): b})
+    for command in (("check", str(bench), "1"), ("optimal", str(bench)),
+                    ("synthesize", str(bench), "1")):
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "above 4096 bits" in err
+
+
+def test_evaluate_compares_the_grids_before_reading_the_benchmark(
+        capsys, tmp_path, monkeypatch):
+    auction = tmp_path / "auction.json"
+    run(capsys, "synthesize", TWO_TIER, "1", "--output", str(auction))
+    capsys.readouterr()
+
+    def unread(*args):
+        raise AssertionError("the benchmark was read before the grid check")
+
+    monkeypatch.setattr(serialize, "builtin_table", unread)
+    monkeypatch.setattr(serialize, "validate_table", unread)
+    bench = tmp_path / "bench.json"
+    bench.write_text(serialize.dumps(
+        {"grid": {"delta": "1", "levels": 3, "n": 2}, "kind": "f2"}))
+    code, out, err = run(capsys, "evaluate", str(auction), str(bench))
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert "different grids" in err
+    _custom(bench, "1", 2, 1, {(0,): "0", (1,): "1"})
+    code, out, err = run(capsys, "evaluate", str(auction), str(bench))
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert "different grids" in err

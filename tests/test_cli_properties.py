@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compauction.cli import main
@@ -51,7 +51,7 @@ SMALL_GRIDS = st.fixed_dictionaries(
 def custom_tables(draw) -> dict:
     """A full custom table on a small grid: monotone, or not quite."""
     grid = draw(SMALL_GRIDS)
-    scale = Fraction(draw(st.sampled_from(["1", "1/3", "1e-40", "1e40", "0"])))
+    scale = Fraction(draw(st.sampled_from(["1", "1/3", "1e-40", "1e40", "1e400", "0"])))
     points = itertools.product(range(grid["levels"]), repeat=grid["n"])
     rows = [{"levels": list(p), "value": str(scale * sum(p) + draw(st.integers(0, 2)))}
             for p in points]
@@ -113,8 +113,15 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-properties")
 
 
+HUGE_TABLE = json.dumps({
+    "grid": {"delta": "1", "levels": 2, "n": 1}, "kind": "custom",
+    "values": [{"levels": [t], "value": "1e400"} for t in range(2)],
+}).encode()
+
+
 @settings(max_examples=120, deadline=2000, derandomize=True, database=None)
 @given(case=invocations())
+@example(case=(["optimal", "bench.json"], {"bench.json": HUGE_TABLE}))
 def test_every_input_ends_with_a_documented_exit_code(workdir, case):
     argv, files = case
     for name, data in files.items():

@@ -22,7 +22,6 @@ from compauction.grid import (
     tail_numerator,
     weight_level,
     weight_others,
-    weight_tail,
     weight_vector,
 )
 from tests.conftest import brute_force_upsets, random_upset, small_grids
@@ -74,7 +73,6 @@ grids = st.builds(
 def test_tail_identity(grid, data):
     k = data.draw(st.integers(min_value=0, max_value=grid.top))
     total = sum(weight_level(grid, t) for t in range(k, grid.num_levels))
-    assert total == weight_tail(grid, k)
     assert total == Fraction(1) / (1 + grid.delta) ** k
     assert Fraction(tail_numerator(grid, k), grid.step[0] ** grid.num_levels) == total
     assert tail_numerator(grid, grid.num_levels) == 0

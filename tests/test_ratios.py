@@ -277,8 +277,8 @@ def test_expected_benchmark_discrete_against_direct_sum(rng):
     for grid in small_grids():
         table = random_monotone_table(grid, rng)
         assert expected_benchmark_discrete(table) == _direct_sum(table)
-    # symmetric tables with orbits of up to 3! and 4! arrangements, summed
-    # point by point as dicts and once per sorted vector as SortedValues
+    # symmetric tables with orbits of up to 3! and 4! arrangements, stored
+    # as dicts and one value per sorted vector as SortedValues
     for grid in (BidGrid(Fraction(1), 3, 3), BidGrid(Fraction(1, 2), 3, 4)):
         for _ in range(5):
             table = random_symmetric_monotone_table(grid, rng)
@@ -290,8 +290,8 @@ def test_expected_benchmark_discrete_against_direct_sum(rng):
             direct = _direct_sum(table)
             assert expected_benchmark_discrete(table) == direct
             assert expected_benchmark_discrete(by_node) == direct
-    # built-in kinds go by their tail law, custom copies by sorted vector or
-    # point by point; the workload's 121x2 grid skips the point-by-point oracle
+    # built-in kinds go by their tail law, custom copies point by point; the
+    # workload's 121x2 grid skips the point-by-point oracle
     for delta, levels, n in ((Fraction(2, 7), 4, 2), (Fraction(5, 2), 3, 3),
                              (Fraction(2, 7), 3, 4), (Fraction(5, 2), 4, 3),
                              (Fraction(1, 2), 4, 5), (Fraction(1, 2), 3, 6),
