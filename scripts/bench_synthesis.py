@@ -17,9 +17,8 @@ The rows are f2 and maxv on 8x2, 4x3 and 3x4, and f2 on 6x3, 4x4, 16x2 and
 32x2 (1,024 points, the cut's bound), all at delta 1.  Each row also
 records, as the observer sees it, the bit length of the synthesis state's
 final unit (``unit_bits``) and how many steps grew it (``unit_growths``);
-both are null for a ``src`` whose state keeps no unit, and a difference
-between the sides is printed without failing.  Run from the root of a
-source checkout:
+a difference between the sides is printed without failing.  Run from the
+root of a source checkout:
 
     PYTHONPATH=src python scripts/bench_synthesis.py [--parent SRC]
 """
@@ -54,11 +53,11 @@ class StepCounter:
         self.growths = 0
 
     def initial(self, state):
-        self.unit = getattr(state, "unit", None)
+        self.unit = state.unit
 
     def step(self, number, state, direction, outcome):
         self.events[outcome.handled.value] += 1
-        if self.unit is not None and state.unit > self.unit:
+        if state.unit > self.unit:
             self.growths += 1
             self.unit = state.unit
 
@@ -106,8 +105,7 @@ def bench_row(kind: str, levels: int, n: int) -> dict:
         "kind": kind, "grid": f"{levels}x{n}", "delta": "1", "points": levels**n,
         "ratio": str(lam), "steps": sum(counter.events.values()),
         "steps_by_event": dict(sorted(counter.events.items())), "cuts": cuts,
-        "unit_bits": None if counter.unit is None else counter.unit.bit_length(),
-        "unit_growths": None if counter.unit is None else counter.growths,
+        "unit_bits": counter.unit.bit_length(), "unit_growths": counter.growths,
         "optimal_s": optimal_s, "synthesize_s": synthesize_s, "evaluate_s": evaluate_s,
         "evaluated_equals_optimal": evaluated == lam,
         "verify_ls2": verify_ls2(revenue, table, lam),

@@ -10,8 +10,9 @@ all-zero one is skipped) on the grids 2x2, 3x2, 2x3, 4x2, 2x4, 3x1, 5x1 and
 digest; two trees that trace alike print the same three.  A fourth line
 digests the answers on the same tables: each one's optimal ratio and sorted
 witness, and the verdict and sorted witness of ``check_attainable`` at 63/64
-of that ratio; two trees that answer alike print the same one.  Run from the
-root of a source checkout:
+of that ratio; two trees that answer alike print the same one, and the
+Tier-1 suite pins it (``answers_digest``).  Run from the root of a source
+checkout:
 
     PYTHONPATH=src python scripts/trace_digest.py
 """
@@ -36,29 +37,43 @@ def tables(grid: BidGrid) -> list[BenchmarkTable]:
     return builtin + [t for t in seeded if not t.is_zero()]
 
 
-def main() -> None:
-    digest, answers, runs, steps = hashlib.sha256(), hashlib.sha256(), 0, 0
+def cases():
+    """Each grid of the sweep with each of its tables."""
     for levels, n in SHAPES:
         for delta in DELTAS:
             grid = BidGrid(delta, levels, n)
             for table in tables(grid):
-                result = optimal_ratio(table)
-                lam = result.ratio
-                verdict = check_attainable(table, lam * Fraction(63, 64))
-                witness = verdict.witness and sorted(verdict.witness.points)
-                answers.update(repr((lam, sorted(result.witness.points),
-                                     verdict.attainable, witness)).encode("utf-8"))
-                for target in (lam, lam * Fraction(5, 4)):
-                    recorder = TraceRecorder(grid, target)
-                    synthesize(table, target, observer=recorder)
-                    text = recorder.text()
-                    digest.update(text.encode("utf-8"))
-                    runs += 1
-                    steps += sum(line.startswith("step ") for line in text.splitlines())
+                yield grid, table
+
+
+def answers_digest() -> str:
+    """The hex sha256 of the answers on every table of the sweep."""
+    answers = hashlib.sha256()
+    for _, table in cases():
+        result = optimal_ratio(table)
+        lam = result.ratio
+        verdict = check_attainable(table, lam * Fraction(63, 64))
+        witness = verdict.witness and sorted(verdict.witness.points)
+        answers.update(repr((lam, sorted(result.witness.points),
+                             verdict.attainable, witness)).encode("utf-8"))
+    return answers.hexdigest()
+
+
+def main() -> None:
+    digest, runs, steps = hashlib.sha256(), 0, 0
+    for grid, table in cases():
+        lam = optimal_ratio(table).ratio
+        for target in (lam, lam * Fraction(5, 4)):
+            recorder = TraceRecorder(grid, target)
+            synthesize(table, target, observer=recorder)
+            text = recorder.text()
+            digest.update(text.encode("utf-8"))
+            runs += 1
+            steps += sum(line.startswith("step ") for line in text.splitlines())
     print(f"runs: {runs}")
     print(f"steps: {steps}")
     print(f"sha256: {digest.hexdigest()}")
-    print(f"answers sha256: {answers.hexdigest()}")
+    print(f"answers sha256: {answers_digest()}")
 
 
 if __name__ == "__main__":

@@ -105,20 +105,21 @@ def check_lp_size(grid: BidGrid) -> None:
     check_size(grid.num_levels, grid.n, DEFAULT_LP_VARIABLE_CAP // grid.n, "LP")
 
 
-def cover_graph(grid: BidGrid) -> tuple[list[Point], list[list[int]]]:
-    """Grid points in lexicographic order, and the indices of each one's covers.
+def cover_graph(grid: BidGrid) -> tuple[list[Point], list[list[int]], dict[Point, int]]:
+    """Grid points in lexicographic order, the indices of each one's covers,
+    and each point's index.
 
     These are the nodes and the uncuttable arcs of every closure on the grid.
     """
     points = list(grid.points())
     index = {p: k for k, p in enumerate(points)}
-    return points, [[index[q] for q in covers(p, grid.top)] for p in points]
+    return points, [[index[q] for q in covers(p, grid.top)] for p in points], index
 
 
 def closure_terms(
     table: BenchmarkTable,
-) -> tuple[list[Point], list[list[int]], list[int], list[int], int]:
-    """Grid points, their covers, and ``point_terms`` as integers over ``den``.
+) -> tuple[list[Point], list[list[int]], dict[Point, int], list[int], list[int], int]:
+    """``cover_graph``, and ``point_terms`` as integers over ``den``.
 
     ``den = P^((N+1) n) F``, with ``F`` the lcm of the table's denominators.
     Each of the ``m`` top coordinates of a point leaves the others in one
@@ -128,7 +129,7 @@ def closure_terms(
     """
     grid = table.grid
     check_cut_size(grid)
-    points, above = cover_graph(grid)
+    points, above, index = cover_graph(grid)
     values = [table.values[p] for p in points]
     scale = 1
     for d in {v.denominator for v in values}:
@@ -143,7 +144,8 @@ def closure_terms(
         a.append(w * v.numerator * scale // v.denominator)
         others = weight_numerator(grid, grid.n - 1, s - grid.top, m - 1) if m else 0
         c.append(m * lift * others)
-    return points, above, a, c, scale * grid.step[0] ** (grid.num_levels * grid.n)
+    den = scale * grid.step[0] ** (grid.num_levels * grid.n)
+    return points, above, index, a, c, den
 
 
 @dataclass
@@ -151,10 +153,11 @@ class Closure:
     """A largest maximum-weight closure and the residual graph of its cut.
 
     Residual nodes ``0..len(a)-1`` are the points, then come the source and
-    the sink.  The source sides of the minimum cuts are exactly the closed
-    sets of the residual graph (arcs with capacity left) that hold the source
-    but not the sink, so the residual graph answers questions about all
-    maximum closures at once (Picard and Queyranne 1980).
+    the sink, a layout no other module reads.  The source sides of the
+    minimum cuts are exactly the closed sets of the residual graph (arcs with
+    capacity left) that hold the source but not the sink, so the residual
+    graph answers questions about all maximum closures at once (Picard and
+    Queyranne 1980).
     """
 
     value: int
@@ -212,6 +215,16 @@ class Closure:
                                 mask |= comp_reach[comp[v]]
                     comp_reach.append(mask)
         return [comp_reach[k] for k in comp]
+
+    def least_cut(self, *nodes: int) -> int | None:
+        """The least maximum closure holding the given points, as a mask over
+        the points: the least closed set of the residual graph through them and
+        the source, less the source, or ``None`` if that takes in the sink."""
+        reach, source = self.reach, len(self.residual) - 2
+        least = reach[source]
+        for k in nodes:
+            least |= reach[k]
+        return None if least >> (source + 1) & 1 else least & ~(1 << source)
 
 
 def max_closure(
@@ -307,7 +320,7 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
     Grids above ``CUT_POINT_CAP`` points raise :class:`DomainTooLargeError`.
     """
     lam = Fraction(lam)
-    points, above, a, c, _ = closure_terms(table)
+    points, above, _, a, c, _ = closure_terms(table)
     cut = max_closure(above, a, c, lam)
     if cut.value <= 0:
         return Verdict(attainable=True, lam=lam, witness=None)
@@ -339,7 +352,7 @@ def optimal_ratio(table: BenchmarkTable) -> RatioResult:
     ``lam``, so it ends, and the witness is the largest upset attaining the
     ratio (the full grid for a zero benchmark).
     """
-    points, above, a, c, _ = closure_terms(table)
+    points, above, _, a, c, _ = closure_terms(table)
     lam, cut = dinkelbach(above, a, c, Fraction(sum(a), sum(c)))
     return RatioResult(lam, Upset.of(table.grid, (points[k] for k in cut.members)))
 

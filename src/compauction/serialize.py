@@ -41,12 +41,14 @@ def _check_digits(value: Fraction) -> None:
     """Reject a rational Python refuses to print.
 
     Python prints no integer longer than ``sys.get_int_max_str_digits()``
-    digits, so a numerator or denominator past that bound is rejected, from
-    its bit length.  Parsed and printed rationals pass through here alike.
+    digits, so a numerator or denominator past that bound is rejected.  The
+    bit length gives the digit count or one more, so only one past the bound
+    builds a power of ten.  Parsed and printed rationals pass here alike.
     """
     limit = sys.get_int_max_str_digits()
-    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    if limit and math.floor(bits * math.log10(2)) + 1 > limit:
+    top = max(abs(value.numerator), value.denominator)
+    digits = math.floor(top.bit_length() * math.log10(2)) + 1
+    if limit and (digits > limit + 1 or digits == limit + 1 and top >= 10**limit):
         raise FormatError(f"rational has more than {limit} digits")
 
 

@@ -34,7 +34,7 @@ and the sets a new-tight event splices into the chain are read off the last
 closure (``StepOutcome.least_sets``).  Only a trace lists upsets, by the
 enumeration oracle within its bound.
 The state keeps the slack terms, which a step moves only on its direction's
-fibers.  They start at ``g = 1``, where one cut of them decides attainability.
+fibers; at ``g = 1`` they negate the weights of ``check_attainable``'s cut.
 
 The state is integers over one unit ``U`` per run: ``f``, ``g``, ``x`` and the
 slack terms hold ``v*U`` (``SynthesisState.exact`` reads ``v`` back).  With
@@ -152,21 +152,16 @@ class StepOutcome:
         """Each least tight set ``M(p, o)`` with positive rate, in key order.
 
         ``M(p, o)`` is the least tight set holding point ``p`` (a bit of
-        ``free``) and the top point of member fiber ``o``: what ``p`` and
-        that top point reach, unless that takes in the sink, when no tight
-        set holds both.  (The last closure is worth 0, so every source arc is
-        saturated and the source itself reaches nothing.)  It has positive
-        rate unless it also holds the fiber's cut point.  The key is
-        ``(len, sorted points)``; sets are bit masks over the cut's nodes.
+        ``free``) and the top point of member fiber ``o``, if any tight set
+        holds both (``Closure.least_cut``).  It has positive rate unless it
+        also holds the fiber's cut point.  The key is ``(len, sorted points)``;
+        sets are bit masks over the cut's nodes.
         """
-        reach = self.cut.reach
-        source, sink = len(reach) - 2, len(reach) - 1
-        found = set()
-        for p in _bits(free):
-            for top, cut in self.fibers:
-                least = reach[p] | reach[top]
-                if not least >> sink & 1 and not least >> cut & 1:
-                    found.add(least & ~(1 << source))
+        found = {
+            least for p in _bits(free) for top, cut in self.fibers
+            if (least := self.cut.least_cut(p, top)) is not None
+            and not least >> cut & 1
+        }
         return sorted(found, key=lambda s: (s.bit_count(), list(_bits(s))))
 
 
@@ -195,17 +190,6 @@ def eq_slack(state: SynthesisState, mask: int) -> int:
     """Slack ``lam * rhs - lhs`` of the g-weighted inequality for one upset,
     times the unit: the sum of the kept terms at the mask's bits."""
     return sum(state.slack[k] for k in _bits(mask))
-
-
-def worst_violation(state: SynthesisState) -> Closure:
-    """The largest upset of most negative g-weighted slack, by one cut.
-
-    It is worth more than the empty set exactly when some upset violates the
-    inequality.  A positive scale leaves the largest maximum closure alone,
-    so at ``g = 1`` it is the witness ``check_attainable`` names.
-    """
-    slack = state.slack
-    return max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
 
 
 def layer_fibers(state: SynthesisState, upper: int, lower: int, i: int) -> list[Point]:
@@ -393,7 +377,13 @@ def synthesize(
     lam = Fraction(lam)
     grid = table.grid
     check_synthesis_size(grid)
-    points, above, a, c, den = closure_terms(table)
+    points, above, index, a, c, den = closure_terms(table)
+    worst = max_closure(above, a, c, lam)  # check_attainable's cut
+    if worst.value > 0:
+        raise NotAttainableError(
+            f"benchmark is not attainable at ratio {lam}; "
+            f"witness set of size {len(worst.members)}"
+        )
     unit = lam.denominator * den
     scale = lam.denominator * grid.step[0] ** (grid.num_levels * grid.n)
     others = list(grid.others_points())
@@ -406,7 +396,7 @@ def synthesize(
         chain=[],
         points=points,
         above=above,
-        index={p: k for k, p in enumerate(points)},
+        index=index,
         slack=[lam.numerator * y - lam.denominator * x for x, y in zip(a, c)],
         unit=unit,
         scale=scale,
@@ -414,12 +404,6 @@ def synthesize(
               for p in points],
         spend=[scale // v.numerator * v.denominator for v in grid.ladder],
     )
-    worst = worst_violation(state)
-    if worst.value > 0:
-        raise NotAttainableError(
-            f"benchmark is not attainable at ratio {lam}; "
-            f"witness set of size {len(worst.members)}"
-        )
     state.chain = [support_upset(state), 0]
     if observer is not None:
         observer.initial(state)

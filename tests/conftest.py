@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from compauction.attainability import max_closure
 from compauction.benchmarks import BenchmarkTable
 from compauction.grid import (
     BidGrid, Upset, is_upward_closed, weight_others, weight_vector,
@@ -23,7 +24,6 @@ from compauction.synthesis import (
     eq_slack,
     layer_fibers,
     support_upset,
-    worst_violation,
 )
 
 
@@ -208,7 +208,8 @@ def check_invariants(
 
     if [state.exact(s) for s in state.slack] != slack_shares(state):
         raise SynthesisInvariantError("kept slack differs from the recomputed one")
-    worst = worst_violation(state)
+    slack = state.slack  # the largest upset of most negative slack
+    worst = max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
     if worst.value > 0:
         violated = sorted(state.points[k] for k in worst.members)
         raise SynthesisInvariantError(f"inequality violated for {violated}")

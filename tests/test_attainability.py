@@ -1,7 +1,9 @@
 """Attainability characterization: the min-cut route, and its agreement with
 the enumeration and LP oracles."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -69,8 +71,8 @@ def test_closure_terms_are_the_point_terms_over_one_denominator(shape, delta, rn
     if grid.n > 1:
         tables += [builtin_table(grid, kind) for kind in ("f2", "maxv")]
     for table in tables:
-        points, above, a, c, den = closure_terms(table)
-        assert (points, above) == cover_graph(grid)
+        points, above, index, a, c, den = closure_terms(table)
+        assert (points, above, index) == cover_graph(grid)
         lcm = math.lcm(*(table[p].denominator for p in points))
         assert den == grid.step[0] ** (grid.num_levels * grid.n) * lcm
         for p, x, y in zip(points, a, c):
@@ -295,8 +297,9 @@ def _random_cover_graph(rng):
 
 
 def test_max_closure_matches_brute_force(rng):
-    """Against every closed set: the maximum, the largest maximizer, and the
-    closed sets of the residual graph, which are exactly the maximizers."""
+    """Against every closed set: the maximum, the largest maximizer, the
+    closed sets of the residual graph, which are exactly the maximizers, and
+    the least maximizer holding each closed set."""
     for _ in range(60):
         above = _random_cover_graph(rng)
         size = len(above)
@@ -324,6 +327,11 @@ def test_max_closure_matches_brute_force(rng):
                        for u in [source, *(k for k in range(size) if m >> k & 1)])
             }
             assert residual_closed == maximizers
+            for m in closed:
+                holding = [s for s in maximizers if s & m == m]
+                least = cut.least_cut(*(k for k in range(size) if m >> k & 1))
+                assert least == (functools.reduce(operator.and_, holding)
+                                 if holding else None)
 
 
 @pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)

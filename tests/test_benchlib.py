@@ -1,4 +1,5 @@
-"""The BENCH scripts' shared harness, and the scripts' imports."""
+"""The BENCH scripts' shared harness, the scripts' imports, and the
+answers digest of ``trace_digest``."""
 
 import importlib
 import importlib.util
@@ -56,3 +57,13 @@ def test_every_script_imports(path, monkeypatch):
     # a rename in src that a script still uses fails here, not at its next run
     monkeypatch.syspath_prepend(str(SCRIPTS))
     assert importlib.import_module(path.stem).__doc__
+
+
+def test_the_answers_digest_is_pinned(monkeypatch):
+    # the gate for every solver change: the optimal ratios, witnesses and
+    # verdicts of trace_digest's sweep
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    trace_digest = importlib.import_module("trace_digest")
+    assert trace_digest.answers_digest() == (
+        "0b54d87fb4912b9162abf041356117c991850ce795f67aaa7213716e2c0f040b"
+    )

@@ -20,9 +20,18 @@ def test_parse_fraction():
     assert serialize.parse_fraction("3/4") == Fraction(3, 4)
     assert serialize.parse_fraction("2") == Fraction(2)
     assert serialize.parse_fraction("1.5") == Fraction(3, 2)
-    for bad in ("abc", "1/0", None, 1.5, True):
+    for bad in ("abc", "1/0", "1e2.5", None, 1.5, True):
         with pytest.raises(FormatError):
             serialize.parse_fraction(bad)
+    # the longest integer Python prints, where the digit estimate from the
+    # bit length is one too high, round-trips; one digit more does not
+    nines = "9" * 4300
+    assert serialize.fraction_to_str(serialize.parse_fraction(nines)) == nines
+    assert serialize.fraction_to_str(Fraction(-int(nines))) == "-" + nines
+    with pytest.raises(FormatError):
+        serialize.parse_fraction("1" + "0" * 4300)
+    with pytest.raises(FormatError, match="more than 4300 digits"):
+        serialize.fraction_to_str(Fraction(10**4300))
 
 
 def test_grid_round_trip():
@@ -82,6 +91,13 @@ def test_table_from_doc_rejects_bad_tables():
     with pytest.raises(FormatError):
         serialize.table_from_doc(doc)
 
+    for levels, match in (([0], "list of 2 level indices"), ([0, 2], "index 2 outside"),
+                          ([0, True], "index True outside")):
+        doc = serialize.table_to_doc(two_tier_table())
+        doc["values"][0]["levels"] = levels
+        with pytest.raises(FormatError, match=match):
+            serialize.table_from_doc(doc)
+
 
 def test_profile_round_trip():
     profile = x_to_z(synthesize(two_tier_table(), Fraction(1)))
@@ -102,6 +118,21 @@ def test_profile_from_doc_rejects_bad_probabilities():
     doc = serialize.profile_to_doc(profile)
     doc["z"][0]["bidder"] = 5
     with pytest.raises(FormatError):
+        serialize.profile_from_doc(doc)
+
+    for others, match in (([0, 0], "list of 1 level indices"), ([2], "index 2 outside"),
+                          ([False], "index False outside")):
+        doc = serialize.profile_to_doc(profile)
+        doc["z"][0]["others"] = others
+        with pytest.raises(FormatError, match=match):
+            serialize.profile_from_doc(doc)
+    doc = serialize.profile_to_doc(profile)
+    doc["z"][0]["prices"][1]["level"] = 0
+    with pytest.raises(FormatError, match="duplicate price level 0"):
+        serialize.profile_from_doc(doc)
+    doc = serialize.profile_to_doc(profile)
+    doc["z"].append(doc["z"][0])
+    with pytest.raises(FormatError, match="duplicate offer row"):
         serialize.profile_from_doc(doc)
 
 

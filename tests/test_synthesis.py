@@ -678,3 +678,8 @@ def test_verify_ls2_detects_scaling():
     )
     zero_table = BenchmarkTable(G22, {p: Fraction(0) for p in G22.points()})
     assert verify_ls2(zero, zero_table, Fraction(1))
+    # revenue that covers f yet falls along a row, or offers mass above one
+    for row in ([1, 0], [2, 2]):
+        rows = [{(0,): row, (1,): [0, 0]}, {(0,): [0, 0], (1,): [0, 0]}]
+        bad = RevenueTables(G22, rows)
+        assert not verify_ls2(bad, zero_table, Fraction(1))
