@@ -148,21 +148,51 @@ def closure_terms(
     return points, above, index, a, c, den
 
 
+class ClosureNetwork:
+    """The flow network of every closure on one cover graph, built once.
+
+    Nodes ``0..size-1`` are the points, then come the source and the sink.
+    Arc ``e`` runs into ``head[e]``, and arc ``e ^ 1`` is its reverse, so
+    ``head[e ^ 1]`` is its tail.  Each point has a source arc, a sink arc and
+    an arc to each of its covers in ``above``; ``arcs[u]`` lists the arcs out
+    of node ``u``, reverses included, in the order the flow search tries
+    them.  A cut only writes a fresh list of capacities.
+    """
+
+    def __init__(self, above: list[list[int]]) -> None:
+        self.size, self.above = len(above), above
+        self.head: list[int] = []
+        self.arcs: list[list[int]] = [[] for _ in range(len(above) + 2)]
+        self.source_arc, self.sink_arc, self.cover_arcs = [], [], []
+        for k, covers in enumerate(above):
+            self.source_arc.append(self._arc(self.size, k))
+            self.sink_arc.append(self._arc(k, self.size + 1))
+            self.cover_arcs.append([self._arc(k, q) for q in covers])
+
+    def _arc(self, u: int, v: int) -> int:
+        e = len(self.head)
+        self.head += (v, u)
+        self.arcs[u].append(e)
+        self.arcs[v].append(e + 1)
+        return e
+
+
 @dataclass
 class Closure:
-    """A largest maximum-weight closure and the residual graph of its cut.
+    """A largest maximum-weight closure and the residual capacities of its cut.
 
-    Residual nodes ``0..len(a)-1`` are the points, then come the source and
-    the sink, a layout no other module reads.  The source sides of the
-    minimum cuts are exactly the closed sets of the residual graph (arcs with
-    capacity left) that hold the source but not the sink, so the residual
-    graph answers questions about all maximum closures at once (Picard and
-    Queyranne 1980).
+    ``residual[e]`` is what the maximum flow leaves on arc ``e`` of
+    ``network``, whose reverse is arc ``e ^ 1``, so the flow on an arc is its
+    reverse's residual.  The source sides of the minimum cuts are exactly the
+    closed sets of the residual graph (arcs with capacity left) that hold the
+    source but not the sink, so the residual graph answers questions about
+    all maximum closures at once (Picard and Queyranne 1980).
     """
 
     value: int
     members: list[int]
-    residual: list[dict[int, int]]
+    network: ClosureNetwork
+    residual: list[int]
 
     @functools.cached_property
     def reach(self) -> list[int]:
@@ -172,7 +202,8 @@ class Closure:
         so each component reaches its own nodes and whatever its successors
         reach.
         """
-        succ = [[v for v, left in arcs.items() if left > 0] for arcs in self.residual]
+        head, residual = self.network.head, self.residual
+        succ = [[head[e] for e in arcs if residual[e] > 0] for arcs in self.network.arcs]
         order = [-1] * len(succ)
         low = [0] * len(succ)
         comp = [-1] * len(succ)
@@ -220,7 +251,7 @@ class Closure:
         """The least maximum closure holding the given points, as a mask over
         the points: the least closed set of the residual graph through them and
         the source, less the source, or ``None`` if that takes in the sink."""
-        reach, source = self.reach, len(self.residual) - 2
+        reach, source = self.reach, self.network.size
         least = reach[source]
         for k in nodes:
             least |= reach[k]
@@ -228,14 +259,14 @@ class Closure:
 
 
 def max_closure(
-    above: list[list[int]], a: list[int], c: list[int], lam: Fraction
+    network: ClosureNetwork, a: list[int], c: list[int], lam: Fraction
 ) -> Closure:
     """Largest upset maximizing ``a - lam*c``, that maximum (scaled), and the cut.
 
-    A source arc feeds each point of positive weight, a sink arc drains each
-    point of negative weight, and each point pulls in its covers through arcs
-    no minimum cut can take: their integer capacity exceeds all the source
-    arcs together, so every flow value stays exact at any magnitude.  The
+    A point of positive weight gets that capacity on its source arc, one of
+    negative weight gets it on its sink arc, and each cover arc gets a
+    capacity no minimum cut can take: it exceeds all the source arcs
+    together, so every flow value stays exact at any magnitude.  The
     maximum flow is pushed by Dinic's blocking flows (Dinic 1970): each phase
     ranks the nodes by breadth-first distance from the source and saturates
     every shortest path by depth-first search, so there are at most as many
@@ -244,73 +275,72 @@ def max_closure(
     residual graph's closed sets that hold the source but not the sink (the
     minimum cuts), are the same for every maximum flow.
     """
-    weight = [lam.denominator * x - lam.numerator * y for x, y in zip(a, c)]
-    source, sink = len(weight), len(weight) + 1
+    num, den = lam.numerator, lam.denominator
+    weight = [den * x - num * y for x, y in zip(a, c)]
+    head, arcs, nodes = network.head, network.arcs, len(network.arcs)
+    source, sink = network.size, network.size + 1
     uncut = 1 + sum(w for w in weight if w > 0)
-    residual: list[dict[int, int]] = [{} for _ in range(len(weight) + 2)]
-
-    def arc(u: int, v: int, capacity: int) -> None:
-        residual[u][v] = capacity
-        residual[v].setdefault(u, 0)
-
+    residual = [0] * len(head)
     for k, w in enumerate(weight):
         if w > 0:
-            arc(source, k, w)
+            residual[network.source_arc[k]] = w
         elif w < 0:
-            arc(k, sink, -w)
-        for q in above[k]:
-            arc(k, q, uncut)
-    heads = [list(arcs) for arcs in residual]  # arc heads never change
+            residual[network.sink_arc[k]] = -w
+        for e in network.cover_arcs[k]:
+            residual[e] = uncut
     while True:
-        # Rank by breadth-first distance, up to the sink's: nothing ranked
-        # at or past it lies on a shortest path.
-        level = [-1] * len(residual)
+        # Rank by breadth-first distance until the sink is ranked: nothing
+        # else at or past its rank lies on a shortest path.
+        level = [-1] * nodes
         level[source] = 0
         queue = [source]
         for u in queue:
-            if 0 <= level[sink] <= level[u]:
+            rank = level[u] + 1
+            for e in arcs[u]:
+                if residual[e] and level[head[e]] < 0:
+                    level[head[e]] = rank
+                    queue.append(head[e])
+            if level[sink] >= 0:
                 break
-            arcs, rank = residual[u], level[u] + 1
-            for v in heads[u]:
-                if level[v] < 0 and arcs[v]:
-                    level[v] = rank
-                    queue.append(v)
         if level[sink] < 0:
             break
         # Depth-first search along arcs one rank down, each node keeping its
         # place in its arc list; a node with no way on leaves the ranking, and
         # after a push the path is cut back to the tail of its first
         # saturated arc.
-        at = [0] * len(residual)
-        path = [source]
+        at = [0] * nodes
+        path, hops = [source], []
         while path:
             u = path[-1]
             if u == sink:
-                hops = list(zip(path, path[1:]))
-                push = min(residual[p][q] for p, q in hops)
-                for p, q in hops:
-                    residual[p][q] -= push
-                    residual[q][p] += push
-                first = next(k for k, (p, q) in enumerate(hops) if not residual[p][q])
-                del path[first + 1 :]
+                push = min([residual[e] for e in hops])
+                for e in hops:
+                    residual[e] -= push
+                    residual[e ^ 1] += push
+                first = next(k for k, e in enumerate(hops) if not residual[e])
+                del path[first + 1 :], hops[first:]
                 continue
-            arcs, out, k, rank = residual[u], heads[u], at[u], level[u] + 1
-            while k < len(out) and (not arcs[out[k]] or level[out[k]] != rank):
-                k += 1
-            at[u] = k
-            if k < len(out):
-                path.append(out[k])
+            out, rank = arcs[u], level[u] + 1
+            for k in range(at[u], len(out)):
+                e = out[k]
+                if residual[e] and level[head[e]] == rank:
+                    at[u] = k
+                    hops.append(e)
+                    path.append(head[e])
+                    break
             else:
                 level[u] = -1
                 path.pop()
+                del hops[-1:]  # the arc into u, if u is not the source
     drains, queue = {sink}, [sink]
     for v in queue:
-        for u in residual[v]:
-            if u not in drains and residual[u][v] > 0:
+        for e in arcs[v]:  # e runs from v to u, and e ^ 1 back
+            u = head[e]
+            if u not in drains and residual[e ^ 1] > 0:
                 drains.add(u)
                 queue.append(u)
-    members = [k for k in range(len(weight)) if k not in drains]
-    return Closure(sum(weight[k] for k in members), members, residual)
+    members = [k for k in range(network.size) if k not in drains]
+    return Closure(sum(weight[k] for k in members), members, network, residual)
 
 
 def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
@@ -321,7 +351,7 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
     """
     lam = Fraction(lam)
     points, above, _, a, c, _ = closure_terms(table)
-    cut = max_closure(above, a, c, lam)
+    cut = max_closure(ClosureNetwork(above), a, c, lam)
     if cut.value <= 0:
         return Verdict(attainable=True, lam=lam, witness=None)
     witness = Upset.of(table.grid, (points[k] for k in cut.members))
@@ -329,7 +359,7 @@ def check_attainable(table: BenchmarkTable, lam: Fraction) -> Verdict:
 
 
 def dinkelbach(
-    above: list[list[int]], a: list[int], c: list[int], lam: Fraction
+    network: ClosureNetwork, a: list[int], c: list[int], lam: Fraction
 ) -> tuple[Fraction, Closure]:
     """Dinkelbach's iteration over maximum closures (Dinkelbach 1967).
 
@@ -339,7 +369,7 @@ def dinkelbach(
     worth 0, whose minimum cuts are the sets ``S`` with ``a(S) = lam*c(S)``.
     """
     while True:
-        cut = max_closure(above, a, c, lam)
+        cut = max_closure(network, a, c, lam)
         if cut.value <= 0:
             return lam, cut
         lam = Fraction(sum(a[k] for k in cut.members), sum(c[k] for k in cut.members))
@@ -353,7 +383,7 @@ def optimal_ratio(table: BenchmarkTable) -> RatioResult:
     ratio (the full grid for a zero benchmark).
     """
     points, above, _, a, c, _ = closure_terms(table)
-    lam, cut = dinkelbach(above, a, c, Fraction(sum(a), sum(c)))
+    lam, cut = dinkelbach(ClosureNetwork(above), a, c, Fraction(sum(a), sum(c)))
     return RatioResult(lam, Upset.of(table.grid, (points[k] for k in cut.members)))
 
 

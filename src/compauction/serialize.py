@@ -70,20 +70,26 @@ def fraction_to_float(value: Fraction) -> float:
 def parse_fraction(text: Any) -> Fraction:
     """Parse a rational, rejecting one that could not be printed back.
 
-    A decimal exponent past ``sys.get_int_max_str_digits()`` is rejected
-    before the power of ten is ever built.
+    A numeral with more digits than ``sys.get_int_max_str_digits()``, on
+    either side of ``a/b`` or in an exponent, is rejected before Python
+    converts it, and a decimal exponent past that bound before the power of
+    ten is ever built.
     """
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise FormatError(f"expected a rational string, got {text!r}")
     limit = sys.get_int_max_str_digits()
-    if isinstance(text, str):
-        exponent = text.lower().partition("e")[2]
-        try:
-            too_long = bool(limit) and abs(int(exponent or 0)) > limit
-        except ValueError:
-            too_long = False  # not an integer exponent: Fraction reports it below
-        if too_long:
-            raise FormatError(f"rational exponent above {limit} in {text[:40]!r}")
+    if isinstance(text, str) and limit:
+        for side in text.split("/"):
+            mantissa, _, exponent = side.lower().partition("e")
+            for numeral in (mantissa, exponent):
+                if len(numeral) > limit and sum(ch.isdecimal() for ch in numeral) > limit:
+                    raise FormatError(f"rational has more than {limit} digits")
+            try:
+                too_long = abs(int(exponent or 0)) > limit
+            except ValueError:
+                too_long = False  # not an integer exponent: Fraction reports it below
+            if too_long:
+                raise FormatError(f"rational exponent above {limit} in {text[:40]!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -61,7 +61,7 @@ from typing import Iterable
 
 from compauction import serialize
 from compauction.attainability import (
-    CUT_POINT_CAP, Closure, closure_terms, dinkelbach, max_closure,
+    CUT_POINT_CAP, Closure, ClosureNetwork, closure_terms, dinkelbach, max_closure,
 )
 from compauction.auctions import AuctionProfile
 from compauction.benchmarks import BenchmarkTable
@@ -99,7 +99,7 @@ class SynthesisState:
     x: list[dict[Point, list[int]]]
     chain: list[int]  # S_0 > S_1 > ... > 0 as masks: bit k stands for points[k]
     points: list[Point]  # grid points in lexicographic order: the cut's nodes
-    above: list[list[int]]  # indices of each point's covers
+    network: ClosureNetwork  # every cut's flow network: the points and their covers
     index: dict[Point, int]  # each point's place in ``points``
     slack: list[int]  # each point's slack term, kept by apply_step
     unit: int  # U, which only grows
@@ -264,7 +264,7 @@ def max_step(state: SynthesisState, d: Direction) -> StepOutcome:
         *(Fraction(g[o], s) for o, s in spend.items()),
     )
     rate = [-d.rate.get(k, 0) for k in range(len(state.points))]
-    step, cut = dinkelbach(state.above, [-s for s in state.slack], rate, bound)
+    step, cut = dinkelbach(state.network, [-s for s in state.slack], rate, bound)
 
     num, den = step.numerator, step.denominator
     f_hits = [p for p in moving if f[p] * den == drop * num]
@@ -378,7 +378,8 @@ def synthesize(
     grid = table.grid
     check_synthesis_size(grid)
     points, above, index, a, c, den = closure_terms(table)
-    worst = max_closure(above, a, c, lam)  # check_attainable's cut
+    network = ClosureNetwork(above)
+    worst = max_closure(network, a, c, lam)  # check_attainable's cut
     if worst.value > 0:
         raise NotAttainableError(
             f"benchmark is not attainable at ratio {lam}; "
@@ -395,7 +396,7 @@ def synthesize(
         x=[{o: [0] * grid.num_levels for o in others} for _ in range(grid.n)],
         chain=[],
         points=points,
-        above=above,
+        network=network,
         index=index,
         slack=[lam.numerator * y - lam.denominator * x for x, y in zip(a, c)],
         unit=unit,

@@ -173,6 +173,35 @@ def random_decreasing_values(grid: BidGrid, rng: random.Random) -> dict:
     return values
 
 
+def max_flow_faults(network, flow: list[int], weight: list[int], value: int) -> list[str]:
+    """Why ``flow`` is not a maximum flow of the closure network of ``weight``.
+
+    ``flow[e]`` is the flow on arc ``e`` of ``network``; only the source,
+    sink and cover arcs are read, not their reverses.  The flow must stay
+    within the capacities ``max_closure`` gives, be conserved at every point,
+    and be worth ``sum(w+) - value``.  Then no closure weighs more than
+    ``value`` (max-flow/min-cut duality), so a closure that weighs ``value``
+    is a maximum one and the flow a maximum flow: an empty list certifies
+    both without the solver.
+    """
+    positive = sum(w for w in weight if w > 0)
+    capacity = {}
+    for k, w in enumerate(weight):
+        capacity[network.source_arc[k]] = max(w, 0)
+        capacity[network.sink_arc[k]] = max(-w, 0)
+        capacity.update(dict.fromkeys(network.cover_arcs[k], 1 + positive))
+    faults = [f"arc {e} carries {flow[e]} of {cap}"
+              for e, cap in capacity.items() if not 0 <= flow[e] <= cap]
+    net = [0] * (network.size + 2)
+    for e in capacity:
+        net[network.head[e]] += flow[e]
+        net[network.head[e ^ 1]] -= flow[e]
+    faults += [f"point {k} gains {d}" for k, d in enumerate(net[:network.size]) if d]
+    if net[network.size + 1] != positive - value:
+        faults.append(f"flow {net[network.size + 1]} is not {positive} - {value}")
+    return faults
+
+
 def slack_shares(state: SynthesisState) -> list[Fraction]:
     """Each point's term ``lam*c(b) - a(b)`` of the g-weighted slack, in
     ``state.points`` order, computed from ``f`` and ``g`` as exact values.
@@ -209,12 +238,12 @@ def check_invariants(
     if [state.exact(s) for s in state.slack] != slack_shares(state):
         raise SynthesisInvariantError("kept slack differs from the recomputed one")
     slack = state.slack  # the largest upset of most negative slack
-    worst = max_closure(state.above, [-s for s in slack], [0] * len(slack), Fraction(0))
+    worst = max_closure(state.network, [-s for s in slack], [0] * len(slack), Fraction(0))
     if worst.value > 0:
         violated = sorted(state.points[k] for k in worst.members)
         raise SynthesisInvariantError(f"inequality violated for {violated}")
     for j, s in enumerate(state.chain):
-        if any(not s >> q & 1 for k in _bits(s) for q in state.above[k]):
+        if any(not s >> q & 1 for k in _bits(s) for q in state.network.above[k]):
             raise SynthesisInvariantError(f"chain set S_{j} is not upward closed")
         if j and eq_slack(state, s) != 0:
             raise SynthesisInvariantError(f"chain set S_{j} lost tightness")
@@ -224,7 +253,7 @@ def check_invariants(
     if state.chain and state.chain[0] != support_upset(state):
         raise SynthesisInvariantError("chain head differs from the support")
 
-    for p, higher in zip(state.points, state.above):
+    for p, higher in zip(state.points, state.network.above):
         v = state.f[p]
         if v < 0:
             raise SynthesisInvariantError(f"working benchmark negative at {p}")

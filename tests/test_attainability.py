@@ -11,6 +11,7 @@ import pytest
 from compauction import grid as grid_module
 from compauction.attainability import (
     CUT_POINT_CAP,
+    ClosureNetwork,
     check_attainable,
     closure_terms,
     condition_sides,
@@ -28,6 +29,7 @@ from compauction.grid import (
 from compauction.ratios import expected_benchmark_discrete
 from tests.conftest import (
     is_symmetric,
+    max_flow_faults,
     random_monotone_table,
     random_symmetric_monotone_table,
     scaled,
@@ -316,7 +318,7 @@ def test_max_closure_matches_brute_force(rng):
                      for m in closed}
             best = max(value.values())
             maximizers = {m for m in closed if value[m] == best}
-            cut = max_closure(above, a, c, lam)
+            cut = max_closure(ClosureNetwork(above), a, c, lam)
             members = sum(1 << k for k in cut.members)
             assert cut.value == best
             assert members in maximizers
@@ -332,6 +334,54 @@ def test_max_closure_matches_brute_force(rng):
                 least = cut.least_cut(*(k for k in range(size) if m >> k & 1))
                 assert least == (functools.reduce(operator.and_, holding)
                                  if holding else None)
+
+
+def _random_cuts(rng, size):
+    """Random weight columns and ratios for ``max_closure`` on ``size`` points."""
+    for _ in range(3):
+        a = [rng.randrange(-12, 13) for _ in range(size)]
+        c = [rng.randrange(-6, 7) for _ in range(size)]
+        for lam in (Fraction(0), Fraction(1), Fraction(rng.randrange(1, 9), 3),
+                    Fraction(-5, 2)):
+            yield a, c, lam
+
+
+def test_a_reused_network_leaks_nothing_between_cuts(rng):
+    """Every cut of a graph through one network answers as a fresh network
+    does, read after all of them ran."""
+    for _ in range(40):
+        above = _random_cover_graph(rng)
+        shared = ClosureNetwork(above)
+        cuts = [
+            (max_closure(shared, a, c, lam), max_closure(ClosureNetwork(above), a, c, lam))
+            for a, c, lam in _random_cuts(rng, len(above))
+        ]
+        for cut, fresh in cuts:
+            assert (cut.value, cut.members) == (fresh.value, fresh.members)
+            assert cut.reach == fresh.reach
+            assert cut.least_cut() == fresh.least_cut()
+            assert all(cut.least_cut(k) == fresh.least_cut(k) for k in range(len(above)))
+
+
+def test_the_residual_capacities_are_a_maximum_flow(rng):
+    """The flow on each arc, its reverse's residual, passes the certificate
+    check, and one unit more on a source arc fails it."""
+    mutants = 0
+    for _ in range(40):
+        above = _random_cover_graph(rng)
+        network = ClosureNetwork(above)
+        for a, c, lam in _random_cuts(rng, len(above)):
+            weight = [lam.denominator * x - lam.numerator * y for x, y in zip(a, c)]
+            cut = max_closure(network, a, c, lam)
+            flow = [cut.residual[e ^ 1] for e in range(len(network.head))]
+            assert max_flow_faults(network, flow, weight, cut.value) == []
+            assert sum(weight[k] for k in cut.members) == cut.value
+            for k in range(len(above)):
+                flow[network.source_arc[k]] += 1
+                assert max_flow_faults(network, flow, weight, cut.value)
+                flow[network.source_arc[k]] -= 1
+                mutants += 1
+    assert mutants
 
 
 @pytest.mark.parametrize("delta", [Fraction(1), Fraction(1, 3), Fraction(5, 2)], ids=str)

@@ -59,6 +59,14 @@ def test_overlong_rationals_are_bad_input(capsys, tmp_path):
         assert code == 2 and "Traceback" not in err
 
 
+def test_a_ratio_past_the_digit_limit_gets_one_message(capsys):
+    for ratio in ("1" + "0" * 4300, "1/1" + "0" * 4300):
+        code, out, err = run(capsys, "check", TWO_TIER, ratio)
+        assert code == 2 and out == "" and _one_error_line(err)
+        assert "rational has more than 4300 digits" in err
+        assert "set_int_max_str_digits" not in err
+
+
 def test_check_rejects_negative_ratio(capsys):
     code, _, err = run(capsys, "check", TWO_TIER, "-1")
     assert code == 2 and "non-negative" in err

@@ -28,10 +28,19 @@ def test_parse_fraction():
     nines = "9" * 4300
     assert serialize.fraction_to_str(serialize.parse_fraction(nines)) == nines
     assert serialize.fraction_to_str(Fraction(-int(nines))) == "-" + nines
-    with pytest.raises(FormatError):
-        serialize.parse_fraction("1" + "0" * 4300)
+    assert serialize.parse_fraction(f"{nines}/{nines}") == 1
     with pytest.raises(FormatError, match="more than 4300 digits"):
         serialize.fraction_to_str(Fraction(10**4300))
+
+
+def test_parse_fraction_counts_digits_before_python_converts():
+    # a numeral past Python's digit limit, on either side of a/b or in an
+    # exponent, gets the same message as a value past it ("1e4300")
+    long = "1" + "0" * 4300
+    for text in (long, "-" + long, f"1/{long}", f"{long}/3", long + ".5",
+                 "1e4300", "1e" + "9" * 4301):
+        with pytest.raises(FormatError, match="rational has more than 4300 digits"):
+            serialize.parse_fraction(text)
 
 
 def test_grid_round_trip():

@@ -477,6 +477,27 @@ def test_synthesis_builds_the_cover_graph_once(monkeypatch):
     assert len(built) == 2
 
 
+def test_one_closure_network_per_run(monkeypatch):
+    built = []
+    init = attainability.ClosureNetwork.__init__
+
+    def counted(self, above):
+        built.append(above)
+        init(self, above)
+
+    monkeypatch.setattr(attainability.ClosureNetwork, "__init__", counted)
+    table = builtin_table(BidGrid(Fraction(1), 3, 2), "f2")
+    lam = optimal_ratio(table).ratio
+    assert len(built) == 1
+    check_attainable(table, lam)
+    assert len(built) == 2
+    synthesize(table, lam)  # its attainability cut and every step's
+    assert len(built) == 3
+    with pytest.raises(NotAttainableError):
+        synthesize(table, lam * Fraction(63, 64))
+    assert len(built) == 4
+
+
 def test_iteration_cap_trips(monkeypatch):
     monkeypatch.setattr(synthesis, "DEFAULT_STEP_CAP", 1)
     with pytest.raises(IterationLimitError):
