@@ -1,10 +1,11 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase simplex for the feasibility and ratio-minimization
-systems used as the independent oracle against upset enumeration.  Pivots
-follow Bland's rule, which guarantees termination without any tolerance
-knobs.  Problems here are tiny (tens of variables), so a dense tableau is the
-right tool.
+A small two-phase simplex for the feasibility and ratio-minimization systems
+used as the independent oracle against upset enumeration.  Pivots follow
+Bland's rule, which guarantees termination without any tolerance knobs.
+Problems here are small (at most a couple of hundred variables), so each row
+is one list over every column, but a pivot reads the pivot row only at its
+nonzeros: on the revenue system a row touches about a third of the columns.
 
 The tableau is fraction-free.  Each row is a primitive integer vector: a
 positive multiple of the rational row it stands for.  It is built in integers
@@ -15,10 +16,13 @@ negated in integers.  The primitive integer form of a rational row is unique,
 so this is the tableau of the rational rows, whatever type (``Fraction`` or
 ``int``) the entries came in.  A pivot on ``a_rc`` replaces every other row
 ``i`` with ``a_rc*row_i - a_ic*row_r`` divided by its gcd, so no entry ever
-carries a denominator.  Positive scaling keeps every sign and every ratio
-``rhs/a``, so the pivot sequence is exactly that of the rational tableau.  The
-objective row is kept as integers over one positive denominator, and basic
-values become :class:`fractions.Fraction` only when the solution is read off.
+carries a denominator.  It first divides ``a_rc`` and ``a_ic`` by their gcd
+and subtracts only at the columns where ``row_r`` is nonzero; that is a
+positive multiple of the same row, so its primitive form is the same.
+Positive scaling keeps every sign and every ratio ``rhs/a``, so the pivot
+sequence is exactly that of the rational tableau.  The objective row is kept
+as integers over one positive denominator, and basic values become
+:class:`fractions.Fraction` only when the solution is read off.
 
 Conventions: minimize ``c . x`` subject to ``A_ub x <= b_ub``,
 ``A_eq x = b_eq`` and ``x >= 0``.
@@ -61,6 +65,22 @@ def _integers(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def _support(line: list[int]) -> list[int]:
+    """The columns where ``line`` is nonzero."""
+    return [j for j, v in enumerate(line) if v]
+
+
+def _combine(
+    line: list[int], p: int, a: int, prow: list[int], support: list[int]
+) -> list[int]:
+    """``p*line - a*prow``, with ``prow`` read only at its nonzero columns
+    ``support``."""
+    out = [p * x for x in line] if p != 1 else line[:]
+    for j in support:
+        out[j] -= a * prow[j]
+    return out
+
+
 class _Tableau:
     """Integer rows, a basis, and an objective row ``obj / den``."""
 
@@ -81,9 +101,11 @@ class _Tableau:
         """Subtract row ``r`` from the objective so that its entry ``c`` is 0."""
         a = self.obj[c]
         if a:
-            p = self.rows[r][c]
-            obj = [p * x - a * y for x, y in zip(self.obj, self.rows[r])]
-            den = self.den * p
+            prow = self.rows[r]
+            p = prow[c]
+            g = math.gcd(p, a)
+            obj = _combine(self.obj, p // g, a // g, prow, _support(prow))
+            den = self.den * (p // g)
             g = math.gcd(den, *obj)
             self.obj = [v // g for v in obj]
             self.den = den // g
@@ -92,10 +114,12 @@ class _Tableau:
         """Make column ``c`` basic in row ``r``; its entry there must be positive."""
         prow = self.rows[r]
         p = prow[c]
+        support = _support(prow)
         for i, line in enumerate(self.rows):
             a = line[c]
             if a and i != r:
-                self.rows[i] = _primitive([p * x - a * y for x, y in zip(line, prow)])
+                g = math.gcd(p, a)
+                self.rows[i] = _primitive(_combine(line, p // g, a // g, prow, support))
         self._eliminate(r, c)
         self.basis[r] = c
         self.pivots += 1

@@ -49,7 +49,7 @@ def test_only_the_named_fields_must_match_between_sides(capsys):
 
 def test_a_child_runs_one_row_on_the_given_src():
     row = benchlib.run_child("bench_lp", SCRIPTS.parent / "src", ["random-1", 3, 2])
-    assert row["lp_equals_cut"] and row["grid"] == "3x2" and row["lp_s"] > 0
+    assert row["lp_equals_cut"] and row["grid"] == "3x2" and min(row["lp_s"]) > 0
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from compauction.attainability import _revenue_system
 from compauction.benchmarks import builtin_table
 from compauction.grid import BidGrid
-from compauction.lp import LPStatus, solve_lp
+from compauction.lp import LPStatus, _primitive, _Tableau, solve_lp
 
 
 def test_simple_box():
@@ -172,15 +172,57 @@ def test_random_lps_match_vertex_enumeration():
 
 def test_ratio_lp_pivot_counts_are_pinned():
     # Bland's rule fixes the pivot sequence; a change in these counts means a
-    # change in the rule or in the system, not in the arithmetic
-    for levels, n, ratio, pivots in ((4, 2, F(23, 16), 43), (2, 4, F(19, 16), 126),
-                                     (5, 2, F(47, 32), 101)):
+    # change in the rule or in the system, not in the arithmetic.  Listing each
+    # direction's increments from the top level down took 8x2 from 724 pivots
+    # to 264.
+    for levels, n, ratio, pivots in ((4, 2, F(23, 16), 45), (2, 4, F(19, 16), 124),
+                                     (5, 2, F(47, 32), 71), (8, 2, F(383, 256), 264)):
         table = builtin_table(BidGrid(F(1), levels, n), "f2")
         A, b, nvars = _revenue_system(table, None)
         # one cover row per point and one mass row per direction, nothing else
         assert len(A) == levels**n + n * levels ** (n - 1)
         res = solve_lp([F(1)] + [F(0)] * (nvars - 1), A_ub=A, b_ub=b)
         assert (res.status, res.objective, res.pivots) == (LPStatus.OPTIMAL, ratio, pivots)
+
+
+def _dense_pivot(line, prow, c):
+    """Oracle: ``line`` with its entry ``c`` eliminated by the pivot row
+    ``prow``, by the dense formula over every column."""
+    p, a = prow[c], line[c]
+    return _primitive([p * x - a * y for x, y in zip(line, prow)])
+
+
+def test_sparse_pivot_matches_the_dense_formula():
+    # The pivot reads the pivot row only at its nonzeros and first divides p
+    # and a by their gcd; each row's primitive form is unique, so every row,
+    # and the objective with its denominator, must be what the dense formula
+    # gives.  Small entries make gcd(p, a) > 1 and p = 1 common.
+    rng = random.Random(20261022)
+
+    def entry():
+        return rng.randrange(-6, 7) if rng.random() < 0.5 else 0
+
+    checked = 0
+    for _ in range(400):
+        m, width = rng.randrange(1, 6), rng.randrange(2, 9)
+        rows = [[entry() for _ in range(width)] for _ in range(m)]
+        r, c = rng.randrange(m), rng.randrange(width - 1)
+        rows[r][c] = rng.randrange(1, 7)
+        tab = _Tableau(rows, list(range(m)))
+        tab.obj = [entry() for _ in range(width)]
+        tab.den = rng.randrange(1, 9)
+        before, obj = [list(line) for line in tab.rows], tab.obj + [tab.den]
+        prow = before[r]
+        expected = [line if i == r or not line[c] else _dense_pivot(line, prow, c)
+                    for i, line in enumerate(before)]
+        # the denominator is the objective's extra column, where prow is 0
+        expected_obj = _dense_pivot(obj, prow + [0], c) if obj[c] else obj
+        tab.pivot(r, c)
+        assert tab.rows == expected
+        assert tab.obj + [tab.den] == expected_obj
+        assert tab.basis[r] == c and tab.pivots == 1
+        checked += sum(1 for i, line in enumerate(before) if i != r and line[c])
+    assert checked > 300
 
 
 def _brute_force(c, A_ub, b_ub, A_eq, b_eq):
